@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -489,8 +489,3 @@ def scenario_from_dict(doc: dict) -> BenchScenario:
 
 def scenario_to_dict(s: BenchScenario) -> dict:
     return asdict(s)
-
-
-def shift_suite_seed(scenarios, base_seed: int):
-    """Re-derive every scenario seed from a new base, keeping the grid."""
-    return [replace(s, seed=mix_seed(base_seed, i)) for i, s in enumerate(scenarios)]

@@ -6,20 +6,32 @@ softmax confidence with the resulting posterior. Because the covariance is
 estimated from every logit row, between-cluster spread inflates it and the
 posteriors come out flatter than softmax, which is the whole point: the
 effect mirrors raising the softmax temperature, without labels.
+
+With one shared covariance the model is linear discriminant analysis
+(Hastie, Tibshirani & Friedman, ESL 4.3). Expanding the scaled log density
+-1/2 s (x - mu_j)^T Sigma^-1 (x - mu_j) leaves -1/2 s x^T Sigma^-1 x, which
+is the same for every class and cancels when each row is normalized. The
+log posterior is therefore log_softmax(x @ A + beta) with
+A = s Sigma^-1 M^T and beta_j = -1/2 s mu_j^T Sigma^-1 mu_j + log pi_j,
+and the cross-entropy gradient with respect to x is (p - t) @ A^T. Both
+are evaluated with x and the means taken about the mean of the means,
+which changes neither but keeps a common logit offset from costing digits.
+"literal" mode is an alias of "bayes": the per-row third term of the
+term-by-term form cancels in the same normalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import DegenerateInputError, NumericalError
 from .ingest import DatasetBundle
 
-MODES = ("bayes", "literal")
+MODES = ("bayes", "literal")  # "literal" is an alias of "bayes", kept for compatibility
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,24 @@ class GaussianModel:
     def class_count(self) -> int:
         return self.means.shape[0]
 
+    @cached_property
+    def center(self) -> np.ndarray:
+        """Mean of the class means; scores are taken about it so that a
+        common offset in the logits does not swamp their differences."""
+        return self.means.mean(axis=0)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """A = s * Sigma^-1 @ (means - center).T, (C, C): column j scores class j."""
+        centered = self.means - self.center
+        return self.sigma_inv_scale * (self.covariance_factor.inverse @ centered.T)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """beta_j = -1/2 * s * (mu_j - center)^T Sigma^-1 (mu_j - center) + log prior_j."""
+        centered = self.means - self.center
+        return self.log_priors - 0.5 * np.einsum("jk,kj->j", centered, self.weights)
+
 
 @dataclass(frozen=True)
 class CalibratedOutput:
@@ -64,29 +94,11 @@ def pseudo_labels(logits) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def _whiten(factor: numerics.CholeskyFactor, rows: np.ndarray) -> np.ndarray:
-    """Map row vectors through L^-1 so squared distances become Mahalanobis."""
-    return scipy.linalg.solve_triangular(
-        factor.lower, rows.T, lower=True, check_finite=False
-    ).T
-
-
-def _pairwise_sq_mahalanobis(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) matrix of squared Mahalanobis distances."""
-    wa = _whiten(factor, a)
-    wb = _whiten(factor, b)
-    out = np.empty((wa.shape[0], wb.shape[0]))
-    for j in range(wb.shape[0]):
-        diff = wa - wb[j]
-        out[:, j] = np.einsum("ik,ik->i", diff, diff)
-    return out
-
-
 def log_gaussian(factor: numerics.CholeskyFactor, mu, x, sigma_inv_scale: float = 1.0) -> float:
     """Log density of x under N(mu, Sigma), quadratic form scaled by sigma_inv_scale.
 
-    The Mahalanobis term comes from a triangular solve against the factor,
-    never from an explicit inverse.
+    The Mahalanobis term comes from a solve against the factor, never from
+    an explicit inverse.
     """
     mu = np.asarray(mu, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -95,7 +107,7 @@ def log_gaussian(factor: numerics.CholeskyFactor, mu, x, sigma_inv_scale: float 
         raise DegenerateInputError(
             f"mu/x must be length-{d} vectors, got {mu.shape} and {x.shape}"
         )
-    y = scipy.linalg.solve_triangular(factor.lower, x - mu, lower=True, check_finite=False)
+    y = np.linalg.solve(factor.lower, x - mu)
     m2 = float(y @ y)
     return -0.5 * (factor.log_det + d * numerics.LN_2PI + sigma_inv_scale * m2)
 
@@ -130,11 +142,15 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
 
     sigma_inv_scale = 1.0
     if c > config.normalize_threshold:
-        inv = numerics.solve_spd(factor, np.eye(c))
-        sigma_inv_scale = 1.0 / float(np.linalg.norm(inv))
+        sigma_inv_scale = 1.0 / float(np.linalg.norm(factor.inverse))
 
-    # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma)
-    d2 = _pairwise_sq_mahalanobis(factor, means, means)
+    # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma), with the squared
+    # Mahalanobis distances expanded as q_i + q_j - 2 mu_i^T Sigma^-1 mu_j
+    # about the mean of the means.
+    centered = means - means.mean(axis=0)
+    cross = centered @ (factor.inverse @ centered.T)
+    q = np.diag(cross)
+    d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
     pair_logs = -0.5 * (factor.log_det + c * numerics.LN_2PI + sigma_inv_scale * d2)
     np.fill_diagonal(pair_logs, -np.inf)
     log_priors = -numerics.logsumexp(pair_logs, axis=1)
@@ -150,29 +166,6 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     )
 
 
-def _scores_bayes(model: GaussianModel, x: np.ndarray) -> np.ndarray:
-    """Unnormalized log posterior rows; the shared Gaussian constant is omitted."""
-    d2 = _pairwise_sq_mahalanobis(model.covariance_factor, x, model.means)
-    return -0.5 * model.sigma_inv_scale * d2 + model.log_priors
-
-
-def _scores_literal(model: GaussianModel, x: np.ndarray) -> np.ndarray:
-    """Literal three-term decomposition with full density constants.
-
-    The third term sums density products over every ordered class pair, so
-    it is a per-row constant; it still gets evaluated for fidelity.
-    """
-    f = model.covariance_factor
-    c = model.class_count
-    const = -0.5 * (f.log_det + c * numerics.LN_2PI)
-    like = const - 0.5 * model.sigma_inv_scale * _pairwise_sq_mahalanobis(f, x, model.means)
-    pair = const - 0.5 * model.sigma_inv_scale * _pairwise_sq_mahalanobis(f, model.means, model.means)
-    np.fill_diagonal(pair, -np.inf)
-    cross = numerics.logsumexp(pair, axis=1)          # per class j: sum over i != j
-    third = numerics.logsumexp(like + cross, axis=1)  # per sample, constant across classes
-    return like + model.log_priors - third[:, None]
-
-
 def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
     """Row-normalized log posteriors for a batch of logit rows."""
     x = np.asarray(x, dtype=np.float64)
@@ -184,14 +177,11 @@ def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.nda
         )
     if not np.all(np.isfinite(x)):
         raise DegenerateInputError("logit rows contain non-finite entries")
-    if mode == "bayes":
-        scores = _scores_bayes(model, x)
-    elif mode == "literal":
-        scores = _scores_literal(model, x)
-    else:
+    if mode not in MODES:
         raise DegenerateInputError(f"mode must be one of {MODES}, got {mode!r}")
+    scores = (x - model.center) @ model.weights + model.offsets
     if np.any(np.isnan(scores)):
-        raise NumericalError(f"NaN in intermediate {mode}-mode scores")
+        raise NumericalError("NaN in intermediate discriminant scores")
     out = scores - numerics.logsumexp(scores, axis=1)[:, None]
     if np.any(np.isnan(out)):
         raise NumericalError("NaN in normalized log posteriors")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calibrator, numerics
+from . import calibrator
 from .calibrator import CalibratorConfig, GaussianModel
 from .errors import DegenerateInputError
 from .ingest import DatasetBundle, EstimateReport
@@ -59,50 +59,22 @@ def _check_target(target: np.ndarray) -> np.ndarray:
     return target
 
 
-def _ce_loss_rows(model: GaussianModel, z: np.ndarray, targets: np.ndarray, mode: str) -> np.ndarray:
-    log_post = calibrator.log_posterior_matrix(model, z, mode)
-    return -np.einsum("nc,nc->n", targets, log_post)
-
-
-def _grad_batch_bayes(model: GaussianModel, residuals: np.ndarray) -> np.ndarray:
+def _grad_batch(model: GaussianModel, residuals: np.ndarray) -> np.ndarray:
     """Closed-form loss gradients wrt logits, one row per sample.
 
-    residuals holds posterior-minus-target rows; the gradient is
-    sigma_inv_scale * Sigma^-1 (means^T @ residual) because the residual
-    entries sum to zero and kill the z-dependent term.
+    residuals holds posterior-minus-target rows. The log posterior is
+    log_softmax((z - center) @ A + beta), so the gradient of the
+    cross-entropy is residual @ A^T.
     """
-    rhs = model.means.T @ residuals.T
-    return (model.sigma_inv_scale * numerics.solve_spd(model.covariance_factor, rhs)).T
-
-
-def _grad_batch_fd(model: GaussianModel, z: np.ndarray, targets: np.ndarray, mode: str) -> np.ndarray:
-    """Central finite differences of the per-sample loss, column by column."""
-    n, c = z.shape
-    grads = np.empty((n, c))
-    for j in range(c):
-        h = 1e-5 * (1.0 + np.abs(z[:, j]))
-        zp = z.copy()
-        zp[:, j] += h
-        zm = z.copy()
-        zm[:, j] -= h
-        plus = _ce_loss_rows(model, zp, targets, mode)
-        minus = _ce_loss_rows(model, zm, targets, mode)
-        grads[:, j] = (plus - minus) / (2.0 * h)
-    return grads
+    return residuals @ model.weights.T
 
 
 def grad_wrt_logits(model: GaussianModel, x, target, mode: str = "bayes") -> np.ndarray:
-    """Gradient of the calibrated cross-entropy loss with respect to the logits.
-
-    Analytic in bayes mode; literal mode falls back to central finite
-    differences since its as-printed score has no tidy closed form.
-    """
+    """Gradient of the calibrated cross-entropy loss with respect to the logits."""
     x = np.asarray(x, dtype=np.float64)
     target = _check_target(target)
-    if mode == "bayes":
-        s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
-        return _grad_batch_bayes(model, (s - target)[None, :])[0]
-    return _grad_batch_fd(model, x[None, :], target[None, :], mode)[0]
+    s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
+    return _grad_batch(model, (s - target)[None, :])[0]
 
 
 def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
@@ -146,15 +118,10 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     s = calibrator.posterior_matrix(model, z, config.mode)
 
     pl_idx = np.argmax(s, axis=1)
-    onehot = np.zeros_like(s)
-    onehot[np.arange(n), pl_idx] = 1.0
-    uniform_targets = np.full_like(s, 1.0 / c)
-    if config.mode == "bayes":
-        g_pl = _grad_batch_bayes(model, s - onehot)
-        g_u = _grad_batch_bayes(model, s - uniform_targets)
-    else:
-        g_pl = _grad_batch_fd(model, z, onehot, config.mode)
-        g_u = _grad_batch_fd(model, z, uniform_targets, config.mode)
+    residual_pl = s.copy()
+    residual_pl[np.arange(n), pl_idx] -= 1.0
+    g_pl = _grad_batch(model, residual_pl)
+    g_u = _grad_batch(model, s - 1.0 / c)
 
     if bundle.target_features is not None:
         feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)

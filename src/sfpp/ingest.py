@@ -292,8 +292,30 @@ def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Rendered(str):
+    """JSON text already rendered; _fmt_json emits it as is."""
+
+
+def _fmt_int_vector(values) -> _Rendered:
+    """The bytes _fmt_json gives a list of ints, built with one join."""
+    return _Rendered("[%s]" % ", ".join(map(str, np.asarray(values).astype(np.int64).tolist())))
+
+
+def _fmt_real_rows(rows) -> _Rendered:
+    """The bytes _fmt_json gives a list of lists of floats, built with one
+    format call; the finiteness check runs once over the whole array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise ValueError(f"report holds a non-finite real: {float(rows[~finite][0])}")
+    row = "[%s]" % ", ".join(["%.17g"] * rows.shape[1])
+    return _Rendered("[%s]" % ", ".join([row] * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
 def _fmt_json(value, indent: int) -> str:
     pad = "  " * indent
+    if isinstance(value, _Rendered):
+        return value
     if isinstance(value, str):
         return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
     if isinstance(value, bool):
@@ -337,9 +359,9 @@ def report_to_json(report: EstimateReport) -> str:
         "n_samples": int(report.n_samples),
     }
     if report.per_sample_correct is not None:
-        doc["per_sample_correct"] = [int(v) for v in report.per_sample_correct]
+        doc["per_sample_correct"] = _fmt_int_vector(report.per_sample_correct)
     if report.grad_norm_pairs is not None:
-        doc["grad_norms"] = [[float(a), float(b)] for a, b in report.grad_norm_pairs]
+        doc["grad_norms"] = _fmt_real_rows(report.grad_norm_pairs)
     doc["config"] = {k: report.config_echo[k] for k in sorted(report.config_echo)}
     doc["elapsed_ms"] = float(report.elapsed_ms)
     doc["seed"] = report.seed

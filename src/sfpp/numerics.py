@@ -1,17 +1,19 @@
 """Deterministic dense linear-algebra and log-domain kernels.
 
-Every function here is pure and runs single-threaded with a fixed
-reduction order, so identical inputs give bitwise-identical outputs no
-matter how many worker threads the caller spreads its samples over.
+Every function here is pure, and all linear algebra goes through
+``numpy.linalg`` and numpy's own BLAS. ``covariance`` sums fixed 256-row
+blocks in index order, one BLAS product per block, so its result does not
+depend on input chunking; ``sfpp bench`` writes the same bytes for any
+``SFPP_THREADS`` (acceptance criterion 12).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DegenerateInputError, SingularMatrixError
 
@@ -40,6 +42,11 @@ class CholeskyFactor:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse of the regularized matrix, solved once per factor."""
+        return solve_spd(self, np.eye(self.dim))
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -82,8 +89,7 @@ def covariance(samples) -> np.ndarray:
     gcomp = np.zeros((d, d))
     for start in range(0, n, _COV_BLOCK):
         centered = a[start:start + _COV_BLOCK] - mean
-        part = np.einsum("ij,ik->jk", centered, centered)
-        gram, gcomp = _neumaier_add(gram, gcomp, part)
+        gram, gcomp = _neumaier_add(gram, gcomp, centered.T @ centered)
     return (gram + gcomp) / (n - 1)
 
 
@@ -125,16 +131,16 @@ def cholesky_with_jitter(a, base_jitter: float) -> CholeskyFactor:
 def solve_spd(factor: CholeskyFactor, rhs) -> np.ndarray:
     """Solve ``(A + jitter*I) x = rhs`` from the Cholesky factor of A.
 
-    Forward substitution with L, back substitution with L^T. ``rhs`` may
-    be a vector or a matrix of column right-hand sides.
+    A solve with L, then one with L^T. ``rhs`` may be a vector or a
+    matrix of column right-hand sides.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != factor.dim:
         raise DegenerateInputError(
             f"rhs has leading dimension {rhs.shape[0]}, factor is {factor.dim}x{factor.dim}"
         )
-    y = scipy.linalg.solve_triangular(factor.lower, rhs, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(factor.lower.T, y, lower=False, check_finite=False)
+    y = np.linalg.solve(factor.lower, rhs)
+    return np.linalg.solve(factor.lower.T, y)
 
 
 def logsumexp(values, axis=None) -> np.ndarray | float:
@@ -151,8 +157,13 @@ def logsumexp(values, axis=None) -> np.ndarray | float:
         raise DegenerateInputError("logsumexp input must be free of NaN and +inf")
     m = np.max(v, axis=axis, keepdims=True)
     safe_m = np.where(np.isfinite(m), m, 0.0)
+    # Exponentiate in place: cot calls this thousands of times on n x C
+    # inputs, and a second temporary of that size per call keeps glibc
+    # trimming and re-faulting the top of the heap.
+    shifted = v - safe_m
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(v - safe_m), axis=axis, keepdims=True)) + safe_m
+        out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + safe_m
     out = np.where(np.isfinite(m), out, m)
     if axis is None:
         return float(out.reshape(()))

@@ -17,6 +17,7 @@ from sfpp.calibrator import (
     pseudo_labels,
 )
 from sfpp.errors import DegenerateInputError
+from sfpp.estimator import predict_accuracy
 from sfpp.ingest import DatasetBundle
 from sfpp.numerics import cholesky_with_jitter
 
@@ -87,6 +88,38 @@ def mp_bayes_posterior(means, cov, log_priors, x, dps=80):
         ]
         total = mpmath.fsum(weights)
         return np.array([float(w / total) for w in weights])
+
+
+def whitened_log_posteriors(model, x):
+    """The class-by-class whitened-difference posterior: -1/2 s |L^-1 (x - mu_j)|^2
+    plus the log prior, normalized per row."""
+    lower = model.covariance_factor.lower
+    wx = np.linalg.solve(lower, x.T).T
+    wm = np.linalg.solve(lower, model.means.T).T
+    d2 = np.empty((x.shape[0], model.class_count))
+    for j in range(model.class_count):
+        diff = wx - wm[j]
+        d2[:, j] = np.einsum("ik,ik->i", diff, diff)
+    scores = -0.5 * model.sigma_inv_scale * d2 + model.log_priors
+    top = scores.max(axis=1, keepdims=True)
+    return scores - top - np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
+
+
+def whitened_grad_norm_pairs(model, x):
+    """Pseudo-label and uniform gradient norms as s * Sigma^-1 means^T (p - t)."""
+    p = np.exp(whitened_log_posteriors(model, x))
+    p /= p.sum(axis=1, keepdims=True)
+    n, c = p.shape
+    lower = model.covariance_factor.lower
+
+    def norms(residuals):
+        y = np.linalg.solve(lower, model.means.T @ residuals.T)
+        g = model.sigma_inv_scale * np.linalg.solve(lower.T, y)
+        return np.sqrt(np.einsum("cn,cn->n", g, g))
+
+    onehot = np.zeros_like(p)
+    onehot[np.arange(n), np.argmax(p, axis=1)] = 1.0
+    return norms(p - onehot), norms(p - 1.0 / c)
 
 
 # ------------------------------------------------------------ pseudo labels
@@ -316,3 +349,30 @@ class TestCalibrate:
         assert out1.log_posteriors.tobytes() == out2.log_posteriors.tobytes()
         np.testing.assert_allclose(out1.posteriors.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(out1.posteriors, np.exp(out1.log_posteriors), atol=1e-12)
+
+
+# ---------------------------------------------- linear form vs whitened form
+
+def wide_head(rng, c, rows_per_class):
+    """N(0, 1) logits with a U(1, 4) margin on a uniformly drawn true class."""
+    n = int(rows_per_class * c)
+    z = rng.normal(size=(n, c))
+    z[np.arange(n), rng.integers(0, c, size=n)] += rng.uniform(1.0, 4.0, size=n)
+    return z
+
+
+class TestLinearFormMatchesWhitenedForm:
+    @pytest.mark.parametrize("c, rows_per_class, seed", [(40, 3, 227), (300, 2.5, 229)])
+    def test_posteriors_norms_and_verdicts(self, c, rows_per_class, seed):
+        z = wide_head(np.random.default_rng(seed), c, rows_per_class)
+        model = fit(z)
+        assert model.sigma_inv_scale != 1.0
+        want = whitened_log_posteriors(model, z)
+        np.testing.assert_allclose(log_posterior_matrix(model, z), want, rtol=0, atol=1e-12)
+
+        pl, uniform = whitened_grad_norm_pairs(model, z)
+        report = predict_accuracy(DatasetBundle(target_logits=z, class_count=c))
+        tol = 1e-9 * uniform.max()
+        np.testing.assert_allclose(report.grad_norm_pairs[:, 0], pl, rtol=0, atol=tol)
+        np.testing.assert_allclose(report.grad_norm_pairs[:, 1], uniform, rtol=0, atol=tol)
+        np.testing.assert_array_equal(report.per_sample_correct, (pl < uniform).astype(np.int8))

@@ -2,13 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfpp
 from sfpp import bench
 from sfpp.cli import main
 from sfpp.ingest import write_array
+
+
+def env_with_src():
+    """The environment plus the source tree on PYTHONPATH, for child interpreters."""
+    src = str(Path(sfpp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture
@@ -229,7 +238,15 @@ class TestHelpAndEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "sfpp.cli", "baseline", "--method", "ac",
              "--logits", str(p), "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env_with_src(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.2500"
+
+    def test_cli_import_needs_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sfpp.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env_with_src(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

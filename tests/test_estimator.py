@@ -13,7 +13,7 @@ from sfpp.estimator import (
     judge,
     predict_accuracy,
 )
-from sfpp.ingest import DatasetBundle
+from sfpp.ingest import DatasetBundle, report_to_json
 from tests.test_calibrator import make_model, random_model
 
 
@@ -193,3 +193,13 @@ class TestPredictAccuracy:
         report = predict_accuracy(bundle, EstimatorConfig(mode="literal"))
         assert 0.0 <= report.predicted_accuracy <= 1.0
         assert report.config_echo["mode"] == "literal"
+
+    def test_literal_mode_is_an_alias_of_bayes(self):
+        rng = np.random.default_rng(223)
+        bundle = clustered_bundle(rng, spread=3.0, noise=1.5)
+        bayes = predict_accuracy(bundle)
+        literal = predict_accuracy(bundle, EstimatorConfig(mode="literal"))
+        assert bayes.config_echo.pop("mode") == "bayes"
+        assert literal.config_echo.pop("mode") == "literal"
+        bayes.elapsed_ms = literal.elapsed_ms = 0.0
+        assert report_to_json(literal) == report_to_json(bayes)

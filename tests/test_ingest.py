@@ -7,6 +7,7 @@ from sfpp.ingest import (
     load_bundle,
     read_array,
     read_manifest,
+    _fmt_json,
     report_to_json,
     write_array,
     write_report,
@@ -270,4 +271,39 @@ class TestReports:
     def test_nonfinite_rejected(self):
         r = EstimateReport(method="doc", predicted_accuracy=float("nan"), n_samples=4)
         with pytest.raises(ValueError):
+            report_to_json(r)
+
+    def test_per_sample_arrays_match_recursive_rendering(self):
+        edge = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                3.0, -7.0, 1.0 / 3.0, 2.0 ** 53, 0.1]
+        pairs = np.array(edge + edge[::-1]).reshape(-1, 2)
+        correct = np.array([1, 0] * (pairs.shape[0] // 2) + [1] * (pairs.shape[0] % 2), dtype=np.int8)
+        r = EstimateReport(method="calibrated-gradnorm", predicted_accuracy=0.5,
+                           n_samples=pairs.shape[0], per_sample_correct=correct,
+                           grad_norm_pairs=pairs, config_echo={"mode": "bayes"})
+        doc = {
+            "method": r.method,
+            "predicted_accuracy": 0.5,
+            "n_samples": pairs.shape[0],
+            "per_sample_correct": [int(v) for v in correct],
+            "grad_norms": [[float(a), float(b)] for a, b in pairs],
+            "config": {"mode": "bayes"},
+            "elapsed_ms": 0.0,
+            "seed": None,
+        }
+        assert report_to_json(r) == _fmt_json(doc, 0) + "\n"
+
+    def test_empty_per_sample_arrays(self):
+        r = EstimateReport(method="ac", predicted_accuracy=0.0, n_samples=0,
+                           per_sample_correct=np.zeros(0, dtype=np.int8),
+                           grad_norm_pairs=np.zeros((0, 2)))
+        text = report_to_json(r)
+        assert '"per_sample_correct": []' in text and '"grad_norms": []' in text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_grad_norm_rejected(self, bad):
+        pairs = np.array([[0.1, 0.2], [0.3, bad]])
+        r = EstimateReport(method="gradnorm", predicted_accuracy=0.5, n_samples=2,
+                           grad_norm_pairs=pairs)
+        with pytest.raises(ValueError, match=f"non-finite real: {bad}"):
             report_to_json(r)
