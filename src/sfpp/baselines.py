@@ -4,7 +4,10 @@ Source-free: average confidence (ac), nuclear norm of the prediction
 matrix (nuclear), and the gradient-norm rule on plain temperature-scaled
 softmax (gradnorm). Source-based: validation-threshold counting (atc-*),
 difference of confidences (doc), and optimal transport from the predicted
-class probabilities to the validation label distribution (cot).
+class probabilities to the validation label distribution (cot). cot's
+entropic transport cost is solved by damped Newton steps on the semi-dual
+in the class potentials, started cold on every call, so every estimator
+here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -127,21 +130,16 @@ def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np
 
 
 def _atc_threshold(val_scores: np.ndarray, val_accuracy: float) -> float:
-    """Scan candidate thresholds so P(score > t) best matches val accuracy.
+    """Pick the threshold t whose P(score > t) best matches val accuracy.
 
     Candidates are the sorted validation scores plus one value just below
     the minimum; ties resolve toward the smaller threshold.
     """
-    candidates = np.sort(val_scores)
-    candidates = np.concatenate([[np.nextafter(candidates[0], -np.inf)], candidates])
-    best_t = candidates[0]
-    best_gap = np.inf
-    for t in candidates:
-        gap = abs(float(np.mean(val_scores > t)) - val_accuracy)
-        if gap < best_gap or (gap == best_gap and t < best_t):
-            best_gap = gap
-            best_t = float(t)
-    return best_t
+    ordered = np.sort(val_scores)
+    candidates = np.concatenate([[np.nextafter(ordered[0], -np.inf)], ordered])
+    above = ordered.size - np.searchsorted(ordered, candidates, side="right")
+    gaps = np.abs(above / ordered.size - val_accuracy)
+    return float(candidates[np.argmin(gaps)])
 
 
 def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float = 1.0,
@@ -181,101 +179,65 @@ def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
 
 # ------------------------------------------------------------------ sinkhorn
 
-_ANNEAL_START = 0.5
-_ANNEAL_STAGE_ITERS = 25
+def _semi_dual(cost, a, b, epsilon, g):
+    """Semi-dual objective at class potentials g, its row softmax and residual.
 
-
-def _sinkhorn_pass(cost, log_a, log_b, epsilon, f, g):
-    f = epsilon * (log_a - numerics.logsumexp((g[None, :] - cost) / epsilon, axis=1))
-    g = epsilon * (log_b - numerics.logsumexp((f[:, None] - cost) / epsilon, axis=0))
-    return f, g
-
-
-def _dual_objective(cost, a, b, epsilon, g):
-    return float(
-        -epsilon * np.dot(a, numerics.logsumexp((g[None, :] - cost) / epsilon, axis=1))
-        + np.dot(b, g)
-    )
-
-
-def _polish_class_potentials(cost, a, b, epsilon, g, budget):
-    """Drive the column-marginal residual to zero on the semi-dual in g.
-
-    With the row potentials eliminated analytically, what is left is a
-    smooth concave function of the few class potentials whose gradient is
-    exactly the negated marginal residual. Levenberg-Marquardt steps with
-    adaptive damping handle both the quadratic basin and the stiff plateaus
-    that saturated (near one-hot) probability rows create, where plain
-    alternating updates decay like 1/k.
+    The row potentials are eliminated in closed form, so each row of the
+    plan is ``a_i`` times the softmax ``s`` of ``(g - cost_i) / epsilon``.
+    The objective's gradient in g is the negated column residual.
     """
-    m = g.shape[0]
-    eye = np.eye(m)
-    lam = 1e-6
-    spent = 0
-    for _ in range(budget):
-        logits = (g[None, :] - cost) / epsilon
-        logits = logits - logits.max(axis=1, keepdims=True)
-        s = np.exp(logits)
-        s /= s.sum(axis=1, keepdims=True)
-        col = a @ s
-        residual = col - b
-        if float(np.abs(residual).sum()) < 1e-13:
-            break
-        jac = (np.diag(col) - np.einsum("i,ij,ik->jk", a, s, s)) / epsilon
-        base = _dual_objective(cost, a, b, epsilon, g)
-        accepted = False
-        for _ in range(80):
-            delta = np.linalg.solve(jac + lam * eye, -residual)
-            if _dual_objective(cost, a, b, epsilon, g + delta) >= base:
-                g = g + delta
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        spent += 1
-        if not accepted:
-            break  # at the numerical floor; the violation check decides
-    return g, spent
+    z = (g[None, :] - cost) / epsilon
+    lse = numerics.logsumexp(z, axis=1)
+    z -= lse[:, None]
+    s = np.exp(z, out=z)
+    value = float(-epsilon * np.dot(a, lse) + np.dot(b, g))
+    return value, s, a @ s - b, lse
 
 
 def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float = 1e-2,
-                  max_iters: int = 20000, tol: float = 1e-8,
-                  warm_start: tuple[np.ndarray, np.ndarray] | None = None):
-    """Entropically regularized transport cost by log-domain Sinkhorn.
+                  max_iters: int = 20000, tol: float = 1e-8):
+    """Entropically regularized transport cost (Cuturi 2013).
 
     Returns (transported cost, (f, g) potentials, iterations). Convergence
     is declared when both marginals of the implied plan are within ``tol``
     in L1 distance of the requested ones.
 
-    Cold-started alternating updates can stall at this regularization level
-    (the violation decays like 1/k on near-degenerate instances), so the
-    solve anneals the potentials through a halving epsilon schedule and then
-    polishes the class potentials with damped Newton steps; the fixed point
-    and the convergence criterion are unchanged. ``warm_start`` potentials
-    from a similar problem skip the annealing.
+    With the row potentials f eliminated, the dual is a smooth concave
+    semi-dual in the class potentials g (Genevay et al. 2016), maximized
+    here from ``g = epsilon * log(b)`` by damped Newton steps; ``iterations``
+    counts the accepted steps. A step is accepted when the objective rises
+    beyond its rounding band, or stays inside the band while the L1 column
+    residual falls: near the optimum the objective no longer registers a
+    gain, and without the second case the damping climbs until progress
+    stops. The damping also keeps the step defined when a class's column
+    mass underflows and zeroes its Hessian row. The solve ends once the
+    residual is below ``tol / 10``, ``max_iters`` steps are accepted or the
+    damping exceeds 1e12; the marginal check then decides.
     """
     n, m = cost.shape
     if a.shape != (n,) or b.shape != (m,):
         raise DegenerateInputError("marginal weights do not match the cost matrix")
-    log_a = np.log(a)
-    log_b = np.log(b)
+    g = epsilon * np.log(b)
+    value, s, residual, lse = _semi_dual(cost, a, b, epsilon, g)
+    lam = 1e-6
     spent = 0
-    if warm_start is not None:
-        f, g = warm_start[0].copy(), warm_start[1].copy()
-    else:
-        f = np.zeros(n)
-        g = np.zeros(m)
-        eps_stage = _ANNEAL_START
-        while eps_stage > epsilon:
-            for _ in range(_ANNEAL_STAGE_ITERS):
-                f, g = _sinkhorn_pass(cost, log_a, log_b, eps_stage, f, g)
-            spent += _ANNEAL_STAGE_ITERS
-            eps_stage /= 2.0
-    g, polish_spent = _polish_class_potentials(
-        cost, a, b, epsilon, g, budget=min(200, max(1, max_iters - spent))
-    )
-    spent += polish_spent
-    f = epsilon * (log_a - numerics.logsumexp((g[None, :] - cost) / epsilon, axis=1))
+    while spent < max_iters and lam <= 1e12:
+        slack = float(np.abs(residual).sum())
+        if slack < 0.1 * tol:
+            break
+        hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / epsilon
+        trial = g + np.linalg.solve(hess + lam * np.eye(m), -residual)
+        t_value, t_s, t_residual, t_lse = _semi_dual(cost, a, b, epsilon, trial)
+        band = 4.0 * np.finfo(np.float64).eps * abs(value)
+        if t_value - value > band or (
+            t_value - value >= -band and float(np.abs(t_residual).sum()) < slack
+        ):
+            g, value, s, residual, lse = trial, t_value, t_s, t_residual, t_lse
+            lam = max(lam / 3.0, 1e-12)
+            spent += 1
+        else:
+            lam *= 10.0
+    f = epsilon * (np.log(a) - lse)
     plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
     violation = max(
         float(np.abs(plan.sum(axis=1) - a).sum()),
@@ -283,18 +245,20 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
     )
     if violation >= tol:
         raise ConvergenceError(
-            f"Sinkhorn did not converge within budget; marginal violation {violation:.3e}"
+            f"transport solve did not converge; marginal violation {violation:.3e}"
         )
     return float(np.sum(plan * cost)), (f, g), spent
 
 
 def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
-        seed=None, _warm_cache: dict | None = None) -> EstimateReport:
+        seed=None) -> EstimateReport:
     """Transport cost from predicted probabilities to the label histogram.
 
     Ground cost between a probability row p and the one-hot vertex of class
     y is half the L1 distance, which collapses to 1 - p[y]. The estimated
     error is the optimal transport cost; accuracy is its complement.
+    ``sinkhorn_iterations`` in the report counts the Newton steps of
+    ``sinkhorn_cost``, not Sinkhorn sweeps.
     """
     _need_validation(bundle, "cot")
     t0 = time.perf_counter()
@@ -306,24 +270,7 @@ def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
     cost = 1.0 - probs[:, support]  # 0.5 * ||p - e_y||_1 for one-hot vertices
     a = np.full(n, 1.0 / n)
     b = hist[support]
-    warm = None
-    if _warm_cache is not None and _warm_cache.get("support") is not None:
-        if np.array_equal(_warm_cache["support"], support):
-            warm = _warm_cache.get("potentials")
-    try:
-        ot_cost, potentials, iters = sinkhorn_cost(
-            cost, a, b, epsilon=epsilon, max_iters=max_iters, warm_start=warm
-        )
-    except ConvergenceError:
-        if warm is None:
-            raise
-        # stale warm start; retry through the annealing schedule
-        ot_cost, potentials, iters = sinkhorn_cost(
-            cost, a, b, epsilon=epsilon, max_iters=max_iters
-        )
-    if _warm_cache is not None:
-        _warm_cache["support"] = support
-        _warm_cache["potentials"] = potentials
+    ot_cost, _, iters = sinkhorn_cost(cost, a, b, epsilon=epsilon, max_iters=max_iters)
     predicted = min(1.0, max(0.0, 1.0 - ot_cost))
     config = {"epsilon": float(epsilon), "max_iters": int(max_iters),
               "ot_cost": float(ot_cost), "sinkhorn_iterations": int(iters)}
@@ -333,8 +280,7 @@ def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
 # ------------------------------------------------------------------ registry
 
 def run_baseline(method: str, bundle: DatasetBundle, temperature: float = 1.0,
-                 energy_temperature: float = 1.0, seed=None,
-                 _warm_cache: dict | None = None) -> EstimateReport:
+                 energy_temperature: float = 1.0, seed=None) -> EstimateReport:
     """Dispatch a CLI method id onto the implementing estimator."""
     if method == "ac":
         return ac(bundle, seed=seed)
@@ -351,7 +297,7 @@ def run_baseline(method: str, bundle: DatasetBundle, temperature: float = 1.0,
     if method == "doc":
         return doc(bundle, seed=seed)
     if method == "cot":
-        return cot(bundle, seed=seed, _warm_cache=_warm_cache)
+        return cot(bundle, seed=seed)
     raise DegenerateInputError(
         f"unknown method {method!r}; expected one of "
         f"{SOURCE_FREE_METHODS + SOURCE_BASED_METHODS}"

@@ -285,7 +285,6 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
             for ratio in ratios:
                 rows.append((scenario.name, method, ratio, 0, ae))
             continue
-        warm_cache = {}
         for r_idx, ratio in enumerate(ratios):
             full_run_ae = None
             for trial in range(trials):
@@ -303,9 +302,7 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
                     val_logits=val_logits[idx],
                     val_labels=data.val_y[idx],
                 )
-                report = baselines.run_baseline(
-                    method, bundle, seed=scenario.seed, _warm_cache=warm_cache
-                )
+                report = baselines.run_baseline(method, bundle, seed=scenario.seed)
                 ae = abs(report.predicted_accuracy - true_acc)
                 if len(idx) >= n_val:
                     full_run_ae = ae

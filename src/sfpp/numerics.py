@@ -15,16 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, SingularMatrixError
+from .errors import DegenerateInputError, SingularMatrixError
 
 LN_2PI = math.log(2.0 * math.pi)
 
 # Rows per partial-sum block in covariance(). Fixed so the summation
 # order never depends on input size, threading, or chunking.
 _COV_BLOCK = 256
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,9 +154,7 @@ def logsumexp(values, axis=None) -> np.ndarray | float:
         raise DegenerateInputError("logsumexp input must be free of NaN and +inf")
     m = np.max(v, axis=axis, keepdims=True)
     safe_m = np.where(np.isfinite(m), m, 0.0)
-    # Exponentiate in place: cot calls this thousands of times on n x C
-    # inputs, and a second temporary of that size per call keeps glibc
-    # trimming and re-faulting the top of the heap.
+    # Exponentiate in place: one temporary of the input's size, not two.
     shifted = v - safe_m
     np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
@@ -170,70 +165,7 @@ def logsumexp(values, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def _jacobi_eigenvalues(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps.
-
-    The matrix is scaled to unit Frobenius norm before sweeping so the
-    off-diagonal convergence threshold behaves like a relative tolerance;
-    eigenvalues are rescaled on return.
-    """
-    c = gram.shape[0]
-    if c == 1:
-        return gram.diagonal().copy()
-    norm = float(np.linalg.norm(gram))
-    if norm == 0.0:
-        return np.zeros(c)
-
-    def off_mass(a):
-        strict = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(strict))
-
-    m = gram / norm
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off_mass(m) < _JACOBI_OFF_TOL:
-            return np.diag(m) * norm
-        for p in range(c - 1):
-            for q in range(p + 1, c):
-                apq = m[p, q]
-                if apq == 0.0:
-                    continue
-                # Classic stable rotation: tan(2t) = 2*apq / (aqq - app).
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                cos = 1.0 / math.hypot(1.0, t)
-                sin = t * cos
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = cos * rp - sin * rq
-                m[q, :] = sin * rp + cos * rq
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = cos * cp - sin * cq
-                m[:, q] = sin * cp + cos * cq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-    final = off_mass(m)
-    if final < _JACOBI_OFF_TOL:
-        return np.diag(m) * norm
-    raise ConvergenceError(
-        f"Jacobi sweep limit ({_JACOBI_MAX_SWEEPS}) reached, off-diagonal mass {final:.3e}"
-    )
-
-
 def nuclear_norm(p) -> float:
-    """Sum of singular values of p, via eigenvalues of the small Gram matrix.
-
-    Works on the C x C Gram matrix p.T @ p, which keeps the eigenproblem
-    tiny when rows vastly outnumber columns. Eigenvalues more negative
-    than -1e-10 (relative) indicate a broken Gram matrix and are an error;
-    small negative roundoff clamps to zero.
-    """
+    """Sum of the singular values of p, from one LAPACK SVD."""
     p = _as_matrix(p, "matrix")
-    gram = np.einsum("ij,ik->jk", p, p)
-    eig = _jacobi_eigenvalues(gram)
-    floor = -1e-10 * max(1.0, float(np.linalg.norm(gram)))
-    if np.any(eig < floor):
-        raise DegenerateInputError(
-            f"Gram matrix has significantly negative eigenvalue {float(np.min(eig)):.3e}"
-        )
-    return float(np.sum(np.sqrt(np.maximum(eig, 0.0))))
+    return float(np.linalg.svd(p, compute_uv=False).sum())

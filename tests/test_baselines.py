@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfpp import bench
 from sfpp.baselines import (
     ac,
     atc,
@@ -167,6 +168,25 @@ class TestAtc:
         target_scores = softmax(target).probabilities.max(axis=1)
         assert r.predicted_accuracy == pytest.approx(np.mean(target_scores > want_t), abs=1e-15)
 
+    def test_matches_brute_force_scan_under_heavy_ties(self):
+        # 3000 rows on four distinct scores, 750 each: thresholds at the two
+        # middle scores give the same gap, and the smaller one must win.
+        rng = np.random.default_rng(283)
+        n_val = 3000
+        margins = rng.permutation(np.repeat([0.5, 1.0, 2.0, 3.0], n_val // 4))
+        predicted = rng.integers(0, 2, size=n_val)
+        z = np.zeros((n_val, 2))
+        z[np.arange(n_val), predicted] = margins
+        correct = rng.permutation(n_val) < 1875
+        labels = np.where(correct, predicted, 1 - predicted)
+        r = atc(bundle_from(rng.normal(size=(40, 2)), z, labels), "maxprob")
+        val_scores = softmax(z).probabilities.max(axis=1)
+        assert len(np.unique(val_scores)) == 4
+        want_t = brute_force_atc_threshold(list(val_scores), 0.625)
+        assert want_t == np.unique(val_scores)[0]
+        assert r.config_echo["val_accuracy"] == 0.625
+        assert r.config_echo["threshold"] == want_t
+
     def test_self_consistency_all_scores(self):
         rng = np.random.default_rng(241)
         n_val = 64
@@ -285,15 +305,37 @@ class TestSinkhorn:
         got, _, _ = sinkhorn_cost(cost, a, b, epsilon=1e-2)
         assert got == pytest.approx(0.0, abs=1e-8)
 
-    def test_warm_start_converges_faster(self):
-        rng = np.random.default_rng(271)
-        cost = rng.uniform(0.0, 1.0, size=(30, 4))
-        a = np.full(30, 1 / 30)
-        b = np.array([0.4, 0.3, 0.2, 0.1])
-        c1, pots, it1 = sinkhorn_cost(cost, a, b)
-        c2, _, it2 = sinkhorn_cost(cost, a, b, warm_start=pots)
-        assert abs(c1 - c2) < 1e-8
-        assert it2 <= it1
+
+def bench_cot_bundle(suite_seed, scenario_name, ratio_index, ratio):
+    """The bundle ``bench.run_scenario`` hands to cot for trial 0 of a ratio."""
+    scenario = next(s for s in bench.default_suite(suite_seed) if s.name == scenario_name)
+    data = bench.generate(scenario)
+    w, b = bench.train_classifier(data.train_x, data.train_y, scenario.class_count,
+                                  scenario.learning_rate, scenario.iterations)
+    count = int(ratio * scenario.n_val)
+    if count >= scenario.n_val:
+        idx = np.arange(scenario.n_val)
+    else:
+        rng = bench.Xorshift64Star(bench.mix_seed(scenario.seed, ratio_index, 0))
+        idx = rng.sample_indices(scenario.n_val, count)
+    return DatasetBundle(
+        target_logits=bench.logits_of(data.target_x, w, b),
+        class_count=scenario.class_count,
+        target_features=data.target_x,
+        val_logits=bench.logits_of(data.val_x, w, b)[idx],
+        val_labels=data.val_y[idx],
+    )
+
+
+class TestCotOnDefaultSuite:
+    # Seed-20 instances on which annealed Sinkhorn with Newton polishing
+    # ended 1.5e-8 off the marginals (s00, ratio 0.01) or needed 160
+    # iterations (s15, ratio 1.0).
+    @pytest.mark.parametrize("scenario, ratio_index, ratio", [("s00", 0, 0.01), ("s15", 3, 1.0)])
+    def test_seed_20_converges_quickly(self, scenario, ratio_index, ratio):
+        r = cot(bench_cot_bundle(20, scenario, ratio_index, ratio))
+        assert r.config_echo["sinkhorn_iterations"] <= 50
+        assert 0.0 <= r.predicted_accuracy <= 1.0
 
 
 # -------------------------------------------------------------- invariants
