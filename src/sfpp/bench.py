@@ -10,16 +10,17 @@ so a scenario is reproducible bit for bit from its fields alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, estimator, ingest
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InputError
 from .ingest import DatasetBundle
 
 CLUSTER_SPREAD = 2.4  # standard deviation of the cluster-center draw
@@ -84,17 +85,6 @@ class Xorshift64Star:
         self._spare = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.gauss()
-        return out
-
-    def pick_index(self, cdf: np.ndarray) -> int:
-        u = self.random()
-        return int(np.searchsorted(cdf, u, side="right"))
-
     def sample_indices(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n) by partial Fisher-Yates."""
         idx = np.arange(n)
@@ -102,6 +92,106 @@ class Xorshift64Star:
             j = i + int(self.random() * (n - i))
             idx[i], idx[j] = idx[j], idx[i]
         return idx[:k]
+
+
+_BLOCK = 1024  # states per block of the vectorised stream
+_U64 = np.uint64
+
+
+@functools.cache
+def _jump_tables() -> np.ndarray:
+    """Byte tables of T^_BLOCK, where T is xorshift's state step.
+
+    T is linear over GF(2)^64, so T^_BLOCK x is the XOR over k of entry
+    [k, byte k of x]: entry [k, v] is T^_BLOCK applied to v << 8k. The
+    images of the 64 unit vectors are stepped _BLOCK times side by side.
+    """
+    units = _U64(1) << np.arange(64, dtype=np.uint64)
+    for _ in range(_BLOCK):
+        units ^= units >> _U64(12)
+        units ^= units << _U64(25)
+        units ^= units >> _U64(27)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # (value, bit)
+    picked = np.where(bits == 1, units.reshape(8, 1, 8), _U64(0))  # (byte, value, bit)
+    return np.bitwise_xor.reduce(picked, axis=2)
+
+
+def _mapped(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each element through libm, as the scalar generator computes it."""
+    return np.fromiter(map(fn, values), dtype=np.float64, count=len(values))
+
+
+class _XorshiftBlocks:
+    """The `Xorshift64Star` stream of one seed, drawn as numpy arrays.
+
+    The first _BLOCK states are stepped one by one as the scalar generator
+    steps; each later block is T^_BLOCK of the block before, so state i of
+    block b is state i of block b-1 advanced by _BLOCK steps. Outputs,
+    uniforms and Box-Muller normals equal the scalar ones bit for bit.
+    """
+
+    def __init__(self, seed: int):
+        rng = Xorshift64Star(seed)
+        self._seed_state = rng.state
+        self._block = np.empty(_BLOCK, dtype=np.uint64)
+        for i in range(_BLOCK):
+            rng.u64()
+            self._block[i] = rng.state
+        self._used = 0
+        self._spare = None
+
+    @property
+    def state(self) -> int:
+        """The state after the last draw, as `Xorshift64Star.state` holds it."""
+        return int(self._block[self._used - 1]) if self._used else self._seed_state
+
+    def u64(self, count: int) -> np.ndarray:
+        """The next `count` outputs, as `count` calls of `Xorshift64Star.u64`."""
+        out = np.empty(count, dtype=np.uint64)
+        filled = 0
+        while filled < count:
+            if self._used == _BLOCK:
+                state_bytes = self._block.astype("<u8").view(np.uint8).reshape(_BLOCK, 8)
+                self._block = np.bitwise_xor.reduce(
+                    _jump_tables()[np.arange(8), state_bytes], axis=1)
+                self._used = 0
+            take = min(count - filled, _BLOCK - self._used)
+            out[filled:filled + take] = self._block[self._used:self._used + take]
+            self._used += take
+            filled += take
+        out *= _U64(Xorshift64Star.MULTIPLIER)  # wraps mod 2^64
+        return out
+
+    def draw(self, rows: int, cols: int, labelled: bool):
+        """Label uniforms (None if not `labelled`) and a rows x cols normal matrix.
+
+        Replays the scalar order: per row, one `random()` for the label when
+        `labelled`, then `cols` `gauss()` calls. Those calls alternate
+        between a fresh Box-Muller pair (two uniforms; cos returned, sin
+        kept) and the kept spare, across rows and across draws, so slot k
+        is fresh iff k - pending is even, and the stream position of every
+        label and pair follows from the slot and row counts.
+        """
+        count = rows * cols
+        pending = 0 if self._spare is None else 1
+        fresh = np.arange(pending, count, 2)
+        pair_pos = fresh - pending  # uniforms taken by earlier pairs
+        if labelled:
+            pair_pos += fresh // cols + 1  # labels up to and including the row's
+            row = np.arange(rows)
+            label_pos = row + 2 * ((row * cols + 1 - pending) // 2)
+        taken = 2 * len(fresh) + (rows if labelled else 0)
+        u = (self.u64(taken) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+
+        r = np.sqrt(-2.0 * _mapped(math.log, 1.0 - u[pair_pos]))
+        theta = (2.0 * math.pi) * u[pair_pos + 1]
+        out = np.empty(count + 1)  # the slot past the end holds a sin left as the spare
+        if pending:
+            out[0] = self._spare
+        out[fresh] = r * _mapped(math.cos, theta)
+        out[fresh + 1] = r * _mapped(math.sin, theta)
+        self._spare = out[count] if (pending + count) % 2 else None
+        return (u[label_pos] if labelled else None), out[:count].reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -150,10 +240,10 @@ def generate(scenario: BenchScenario) -> GeneratedData:
     c, d = scenario.class_count, scenario.feature_dim
     if c < 2 or d < 1:
         raise DegenerateInputError(f"scenario needs C>=2 and d>=1, got C={c} d={d}")
-    rng = Xorshift64Star(scenario.seed)
+    rng = _XorshiftBlocks(scenario.seed)
 
-    centers = scenario.cluster_spread * rng.normal_matrix(c, d)
-    directions = rng.normal_matrix(c, d)
+    centers = scenario.cluster_spread * rng.draw(c, d, labelled=False)[1]
+    directions = rng.draw(c, d, labelled=False)[1]
     for i in range(c):
         norm = float(np.linalg.norm(directions[i]))
         if norm > 1e-12:
@@ -167,14 +257,9 @@ def generate(scenario: BenchScenario) -> GeneratedData:
     target_centers = centers + scenario.mean_shift * directions
 
     def draw(n, cdf, cluster_centers, noise_scale):
-        xs = np.empty((n, d))
-        ys = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            y = rng.pick_index(cdf)
-            ys[i] = y
-            for j in range(d):
-                xs[i, j] = cluster_centers[y, j] + noise_scale * rng.gauss()
-        return xs, ys
+        label_u, noise = rng.draw(n, d, labelled=True)
+        ys = np.searchsorted(cdf, label_u, side="right").astype(np.int64)
+        return cluster_centers[ys] + noise_scale * noise, ys
 
     train_x, train_y = draw(scenario.n_train, source_cdf, centers, 1.0)
     val_x, val_y = draw(scenario.n_val, source_cdf, centers, 1.0)
@@ -194,19 +279,35 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
     n, d = x.shape
     w = np.zeros((class_count, d))
     b = np.zeros(class_count)
-    onehot = np.zeros((n, class_count))
-    onehot[np.arange(n), y] = 1.0
+    label_flat = np.arange(n) * class_count + y  # label positions in s.ravel()
+    s = np.empty((n, class_count))
+    s_flat = s.reshape(-1)
+    row_max = np.empty(n)
+    row_sum = np.empty((n, 1))
+    grad_w = np.empty((class_count, d))
+    grad_b = np.empty(class_count)
     losses = []
     for _ in range(iterations):
-        z = x @ w.T + b
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
+        np.matmul(x, w.T, out=s)
+        s += b
+        # a max is exact in any order, and column by column is the cheap one
+        np.copyto(row_max, s[:, 0])
+        for j in range(1, class_count):
+            np.maximum(row_max, s[:, j], out=row_max)
+        s -= row_max[:, None]
+        np.exp(s, out=s)
+        np.sum(s, axis=1, keepdims=True, out=row_sum)
+        s /= row_sum
         if return_losses:
-            losses.append(float(-np.mean(np.log(s[np.arange(n), y] + 1e-300))))
-        grad = (s - onehot) / n
-        w -= learning_rate * (grad.T @ x)
-        b -= learning_rate * grad.sum(axis=0)
+            losses.append(float(-np.mean(np.log(s_flat[label_flat] + 1e-300))))
+        s_flat[label_flat] -= 1.0
+        s /= n  # s now holds the gradient of the mean loss in the logits
+        np.matmul(s.T, x, out=grad_w)
+        grad_w *= learning_rate
+        w -= grad_w
+        np.sum(s, axis=0, out=grad_b)
+        grad_b *= learning_rate
+        b -= grad_b
     if return_losses:
         return w, b, losses
     return w, b
@@ -335,6 +436,13 @@ def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=(0.01, 0.05, 0.1,
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
         raise DegenerateInputError(f"unknown methods {unknown}; known ids: {ALL_METHODS}")
+    first_record = {}
+    for i, scenario in enumerate(scenarios):
+        if scenario.name in first_record:
+            raise DegenerateInputError(
+                f"scenario record {i}: field 'name' repeats {scenario.name!r} "
+                f"of record {first_record[scenario.name]}")
+        first_record[scenario.name] = i
 
     workers = min(worker_count(), len(scenarios)) or 1
     if workers == 1:
@@ -480,7 +588,51 @@ def write_mae_table(table: MaeTable, out_dir) -> tuple[str, str]:
     return str(json_path), str(csv_path)
 
 
-def scenario_from_dict(doc: dict) -> BenchScenario:
+# Smallest value of each integer field of a scenario record (None: any int).
+_INT_MINIMA = {"seed": None, "class_count": 2, "feature_dim": 1, "n_train": 1,
+               "n_val": 1, "n_target": 2, "iterations": 0}
+
+
+def _check_field(key, value):
+    """Why `value` is not valid for scenario field `key`, or None if it is."""
+    if key == "name":
+        if not isinstance(value, str) or not value:
+            return "must be a non-empty string"
+        if any(ch in value for ch in ",\n\r"):
+            return "must not contain ',' or a line break"
+        return None
+    if isinstance(value, bool):
+        return "must be a number, not a boolean"
+    if key in _INT_MINIMA:
+        if not isinstance(value, int):
+            return f"must be an integer, got {value!r}"
+        low = _INT_MINIMA[key]
+        if low is not None and value < low:
+            return f"must be >= {low}, got {value}"
+        return None
+    try:
+        finite = isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else f"must be a finite number, got {value!r}"
+
+
+def scenario_from_dict(doc: dict, index: int = 0) -> BenchScenario:
+    """One suite-file record as a scenario; InputError names `index` and the field."""
+    where = f"scenario record {index}"
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: must be a JSON object")
+    known = {f.name: f for f in fields(BenchScenario)}
+    for key in doc:
+        if key not in known:
+            raise InputError(f"{where}: unknown field {key!r}")
+    for key, spec in known.items():
+        if key not in doc and spec.default is MISSING:
+            raise InputError(f"{where}: missing field {key!r}")
+    for key, value in doc.items():
+        problem = _check_field(key, value)
+        if problem:
+            raise InputError(f"{where}: field {key!r} {problem}")
     return BenchScenario(**doc)
 
 

@@ -67,23 +67,35 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _flag_list(flag, text, convert):
+    """Comma-separated values of `flag`; InputError on a bad or repeated value."""
+    try:
+        values = [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise InputError(f"{flag} names no value, got {text!r}")
+    if len(set(values)) < len(values):
+        raise InputError(f"{flag} repeats a value, got {text!r}")
+    return values
+
+
 def cmd_bench(args) -> int:
-    ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
-    if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
-        raise InputError(f"ratios must lie in (0, 1], got {args.ratios!r}")
+    ratios = _flag_list("--ratios", args.ratios, float)
+    if any(not 0.0 < r <= 1.0 for r in ratios):
+        raise InputError(f"--ratios must lie in (0, 1], got {args.ratios!r}")
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    methods = list(bench.ALL_METHODS)
+    if args.methods:
+        methods = _flag_list("--methods", args.methods, str)
     if args.suite == "default":
         scenarios = bench.default_suite(args.seed)
     else:
         docs = json.loads(Path(args.suite).read_text("utf-8"))
         if not isinstance(docs, list) or not docs:
             raise InputError(f"{args.suite}: suite file must hold a non-empty JSON list")
-        try:
-            scenarios = [bench.scenario_from_dict(doc) for doc in docs]
-        except TypeError as exc:
-            raise InputError(f"{args.suite}: bad scenario record: {exc}") from exc
-    methods = list(bench.ALL_METHODS)
-    if args.methods:
-        methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+        scenarios = [bench.scenario_from_dict(doc, i) for i, doc in enumerate(docs)]
     table = bench.run_suite(scenarios, methods=methods,
                             inclusion_ratios=ratios, trials=args.trials)
     json_path, csv_path = bench.write_mae_table(table, args.out)

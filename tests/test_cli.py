@@ -202,6 +202,71 @@ class TestBench:
         bad.write_text("{}")
         assert main(["bench", "--suite", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"),
+        ("--trials", "-1"),
+        ("--ratios", "abc"),
+        ("--ratios", "0.5,0.5"),
+        ("--methods", "ac,ac"),
+    ])
+    def test_bad_flag_named_exit_2(self, tmp_path, capsys, flag, value):
+        args ={"--suite": str(small_suite_file(tmp_path)), "--ratios": "0.5,1.0",
+                "--trials": "1", "--methods": "ac", "--out": str(tmp_path / "o")}
+        args[flag] = value
+        code = main(["bench"] + [tok for pair in args.items() for tok in pair])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("class_count", "3"),
+        ("class_count", 3.5),
+        ("class_count", True),
+        ("class_count", 1),
+        ("feature_dim", 0),
+        ("n_train", 0),
+        ("n_val", 0),
+        ("n_val", -3),
+        ("n_target", 1),
+        ("iterations", -5),
+        ("seed", 2.0),
+        ("mean_shift", float("nan")),
+        ("cov_scale", float("inf")),
+        ("learning_rate", "1.0"),
+        ("prior_skew", None),
+        ("name", "a,b"),
+        ("name", "a\nb"),
+        ("name", ""),
+        ("name", 7),
+        ("name", "c0"),  # record 0's name
+    ])
+    def test_bad_suite_record_named_exit_2(self, tmp_path, capsys, field, value):
+        suite = small_suite_file(tmp_path)
+        docs = json.loads(suite.read_text())
+        docs[1][field] = value
+        suite.write_text(json.dumps(docs))
+        code = main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", "ac", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 1" in err and repr(field) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("record, field", [(0, "colour"), (1, "seed")])
+    def test_unknown_and_missing_record_fields_exit_2(self, tmp_path, capsys, record, field):
+        suite = small_suite_file(tmp_path)
+        docs = json.loads(suite.read_text())
+        if field in docs[record]:
+            del docs[record][field]
+        else:
+            docs[record][field] = "red"
+        suite.write_text(json.dumps(docs))
+        code = main(["bench", "--suite", str(suite), "--trials", "1",
+                     "--methods", "ac", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"record {record}" in err and repr(field) in err
+
 
 class TestDumpCalibration:
     def test_writes_four_arrays(self, tmp_path, logits_file, capsys):
