@@ -34,13 +34,14 @@ class SoftmaxOutput:
 
 
 def softmax(logits, temperature: float = 1.0) -> SoftmaxOutput:
-    """Row-stable softmax of logits / temperature."""
+    """Row-stable softmax of logits / temperature, formed in one new array."""
     if not temperature > 0.0:
         raise DegenerateInputError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return SoftmaxOutput(probabilities=e / e.sum(axis=1, keepdims=True), temperature=temperature)
+    p = np.asarray(logits, dtype=np.float64) / temperature
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return SoftmaxOutput(probabilities=p, temperature=temperature)
 
 
 def _report(method, predicted, n, *, correct=None, pairs=None, config=None,
@@ -69,8 +70,8 @@ def _need_validation(bundle: DatasetBundle, method: str) -> None:
 def ac(bundle: DatasetBundle, seed=None) -> EstimateReport:
     """Average of the per-row maximum softmax probability."""
     t0 = time.perf_counter()
-    probs = softmax(bundle.target_logits).probabilities
-    return _report("ac", probs.max(axis=1).mean(), bundle.n_target, t0=t0, seed=seed)
+    confidence = _atc_scores(bundle.target_logits, "maxprob", 1.0).mean()
+    return _report("ac", confidence, bundle.n_target, t0=t0, seed=seed)
 
 
 def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
@@ -79,30 +80,42 @@ def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
     The scaling maps balanced one-hot certainty to 1 and all-uniform
     predictions to 1/C; it is this artifact's convention, not a canonical
     one.
+
+    The softmax rows are taken one block at a time (TSQR, Demmel et al.
+    2012): each block is stacked under the R factor of the blocks before
+    it, which keeps the singular values, and the last stack goes to the
+    SVD. A one-block input is therefore the SVD of the softmax matrix.
     """
     t0 = time.perf_counter()
-    probs = softmax(bundle.target_logits).probabilities
-    n, c = probs.shape
-    score = numerics.nuclear_norm(probs) / np.sqrt(n * c)
+    z = bundle.target_logits
+    n, c = z.shape
+    r = np.empty((0, c))
+    for rows in numerics.row_blocks(n, c):
+        stack = np.vstack([r, softmax(z[rows]).probabilities])
+        if rows.stop < n:
+            r = np.linalg.qr(stack, mode="r")
+    score = numerics.nuclear_norm(stack) / np.sqrt(n * c)
     return _report("nuclear", score, n, t0=t0, seed=seed)
 
 
 def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> EstimateReport:
     """Gradient-norm rule on plain softmax: g = s - target in logit space."""
     t0 = time.perf_counter()
-    s = softmax(bundle.target_logits, temperature).probabilities
-    n, c = s.shape
-    onehot = np.zeros_like(s)
-    onehot[np.arange(n), np.argmax(s, axis=1)] = 1.0
-    g_pl = s - onehot
-    g_u = s - 1.0 / c
+    z = bundle.target_logits
+    n, c = z.shape
+    norm_pl = np.empty(n)
+    norm_u = np.empty(n)
+    for rows in numerics.row_blocks(n, c):
+        g = softmax(z[rows], temperature).probabilities
+        g_u = g - 1.0 / c
+        norm_u[rows] = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
+        g[np.arange(g.shape[0]), np.argmax(g, axis=1)] -= 1.0
+        norm_pl[rows] = np.sqrt(np.einsum("nc,nc->n", g, g))
     if bundle.target_features is not None:
         feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)
         factor = np.sqrt(feat_sq + 1.0)
-    else:
-        factor = np.ones(n)
-    norm_pl = np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl)) * factor
-    norm_u = np.sqrt(np.einsum("nc,nc->n", g_u, g_u)) * factor
+        norm_pl *= factor
+        norm_u *= factor
     correct = norm_pl < norm_u
     return _report(
         "gradnorm", np.count_nonzero(correct) / n, n,
@@ -115,7 +128,7 @@ def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> Esti
 
 # ------------------------------------------------------------- source-based
 
-def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:
+def _block_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:
     if score == "maxprob":
         return softmax(logits).probabilities.max(axis=1)
     if score == "negentropy":
@@ -123,10 +136,19 @@ def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
         return terms.sum(axis=1)
-    if score == "energy":
-        t = energy_temperature
-        return t * numerics.logsumexp(np.asarray(logits, dtype=np.float64) / t, axis=1)
-    raise DegenerateInputError(f"score must be one of {ATC_SCORES}, got {score!r}")
+    t = energy_temperature
+    return t * numerics.logsumexp(logits / t, axis=1)
+
+
+def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:
+    """Per-row confidence score (ac and doc use maxprob), one row block at a time."""
+    if score not in ATC_SCORES:
+        raise DegenerateInputError(f"score must be one of {ATC_SCORES}, got {score!r}")
+    n, c = logits.shape
+    out = np.empty(n)
+    for rows in numerics.row_blocks(n, c):
+        out[rows] = _block_scores(logits[rows], score, energy_temperature)
+    return out
 
 
 def _atc_threshold(val_scores: np.ndarray, val_accuracy: float) -> float:
@@ -168,8 +190,8 @@ def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
     """Validation accuracy minus the confidence gap, clamped into [0, 1]."""
     _need_validation(bundle, "doc")
     t0 = time.perf_counter()
-    val_conf = softmax(bundle.val_logits).probabilities.max(axis=1).mean()
-    target_conf = softmax(bundle.target_logits).probabilities.max(axis=1).mean()
+    val_conf = _atc_scores(bundle.val_logits, "maxprob", 1.0).mean()
+    target_conf = _atc_scores(bundle.target_logits, "maxprob", 1.0).mean()
     val_acc = float(np.mean(np.argmax(bundle.val_logits, axis=1) == bundle.val_labels))
     predicted = min(1.0, max(0.0, val_acc - (val_conf - target_conf)))
     config = {"val_accuracy": val_acc, "val_confidence": float(val_conf),

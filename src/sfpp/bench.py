@@ -588,6 +588,11 @@ def write_mae_table(table: MaeTable, out_dir) -> tuple[str, str]:
     return str(json_path), str(csv_path)
 
 
+# Most floats one generated split of a suite-file record may hold: its rows
+# times the wider of the feature and logit widths, and for the cluster
+# centers class_count x feature_dim. 2^25 float64 are 256 MB.
+MAX_SPLIT_FLOATS = 2 ** 25
+
 # Smallest value of each integer field of a scenario record (None: any int).
 _INT_MINIMA = {"seed": None, "class_count": 2, "feature_dim": 1, "n_train": 1,
                "n_val": 1, "n_target": 2, "iterations": 0}
@@ -633,6 +638,15 @@ def scenario_from_dict(doc: dict, index: int = 0) -> BenchScenario:
         problem = _check_field(key, value)
         if problem:
             raise InputError(f"{where}: field {key!r} {problem}")
+    # Refuse a split too large to generate before generate allocates it.
+    wide = "feature_dim" if doc["feature_dim"] >= doc["class_count"] else "class_count"
+    for rows, cols in (("class_count", "feature_dim"), ("n_train", wide), ("n_val", wide),
+                       ("n_target", wide)):
+        if doc[rows] * doc[cols] > MAX_SPLIT_FLOATS:
+            raise InputError(
+                f"{where}: fields {rows!r} and {cols!r} make a {doc[rows]} x {doc[cols]} "
+                f"split, above the cap of {MAX_SPLIT_FLOATS} floats"
+            )
     return BenchScenario(**doc)
 
 

@@ -92,7 +92,10 @@ def cmd_bench(args) -> int:
     if args.suite == "default":
         scenarios = bench.default_suite(args.seed)
     else:
-        docs = json.loads(Path(args.suite).read_text("utf-8"))
+        try:
+            docs = json.loads(Path(args.suite).read_text("utf-8"))
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nest
+            raise InputError(f"{args.suite}: not a valid suite file: {exc}") from None
         if not isinstance(docs, list) or not docs:
             raise InputError(f"{args.suite}: suite file must hold a non-empty JSON list")
         scenarios = [bench.scenario_from_dict(doc, i) for i, doc in enumerate(docs)]
@@ -208,7 +211,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

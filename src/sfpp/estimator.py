@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calibrator
+from . import calibrator, numerics
 from .calibrator import CalibratorConfig, GaussianModel
 from .errors import DegenerateInputError
 from .ingest import DatasetBundle, EstimateReport
@@ -93,9 +93,7 @@ def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
     s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
     pl = np.zeros(c)
     pl[int(np.argmax(s))] = 1.0
-    uniform = np.full(c, 1.0 / c)
-    g_pl = grad_wrt_logits(model, x, pl, mode)
-    g_u = grad_wrt_logits(model, x, uniform, mode)
+    g_pl, g_u = _grad_batch(model, s - np.stack([pl, np.full(c, 1.0 / c)]))
     factor = float(np.sqrt(feature_norm * feature_norm + 1.0)) if feature_norm is not None else 1.0
     return float(np.linalg.norm(g_pl) * factor), float(np.linalg.norm(g_u) * factor)
 
@@ -115,21 +113,27 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     z = bundle.target_logits
     n, c = z.shape
     model = calibrator.fit(z, config.calibrator_config())
-    s = calibrator.posterior_matrix(model, z, config.mode)
 
-    pl_idx = np.argmax(s, axis=1)
-    residual_pl = s.copy()
-    residual_pl[np.arange(n), pl_idx] -= 1.0
-    g_pl = _grad_batch(model, residual_pl)
-    g_u = _grad_batch(model, s - 1.0 / c)
+    # Posterior, pseudo-label, both gradients and both norms, one row block
+    # at a time: no n x C array is formed beyond the input.
+    pl_idx = np.empty(n, dtype=np.intp)
+    norm_pl = np.empty(n)
+    norm_u = np.empty(n)
+    for rows in numerics.row_blocks(n, c):
+        s = calibrator.posterior_matrix(model, z[rows], config.mode)
+        pl = np.argmax(s, axis=1)
+        pl_idx[rows] = pl
+        g_u = _grad_batch(model, s - 1.0 / c)
+        norm_u[rows] = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
+        s[np.arange(pl.size), pl] -= 1.0
+        g_pl = _grad_batch(model, s)
+        norm_pl[rows] = np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl))
 
     if bundle.target_features is not None:
         feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)
         factor = np.sqrt(feat_sq + 1.0)
-    else:
-        factor = np.ones(n)
-    norm_pl = np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl)) * factor
-    norm_u = np.sqrt(np.einsum("nc,nc->n", g_u, g_u)) * factor
+        norm_pl *= factor
+        norm_u *= factor
 
     correct = (norm_u < norm_pl) if config.eq5_literal else (norm_pl < norm_u)
     echo = config.echo()

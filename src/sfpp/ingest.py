@@ -9,6 +9,8 @@ given report always serializes to the same bytes.
 from __future__ import annotations
 
 import ast
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,43 +75,49 @@ def read_array(path) -> np.ndarray:
 
 
 def _read_npy(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 10 or raw[:6] != _NPY_MAGIC:
-        raise ArrayFormatError(f"{path}: bad magic bytes, not an NPY file")
-    major, minor = raw[6], raw[7]
-    if (major, minor) != (1, 0):
-        raise ArrayFormatError(f"{path}: unsupported NPY version {major}.{minor}")
-    header_len = int.from_bytes(raw[8:10], "little")
-    header_end = 10 + header_len
-    if len(raw) < header_end:
-        raise ArrayFormatError(f"{path}: truncated header")
-    try:
-        header = ast.literal_eval(raw[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
-        raise ArrayFormatError(f"{path}: unparseable header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-        raise ArrayFormatError(f"{path}: header must have exactly descr/fortran_order/shape")
-    descr = header["descr"]
-    if descr not in _READ_DTYPES:
-        raise ArrayFormatError(f"{path}: unsupported dtype {descr!r} (need <f4, <f8 or <i8)")
-    if header["fortran_order"]:
-        raise ArrayFormatError(f"{path}: fortran_order arrays are not supported")
-    shape = header["shape"]
-    if not isinstance(shape, tuple) or len(shape) not in (1, 2) or any(
-        not isinstance(s, int) or s < 0 for s in shape
-    ):
-        raise ArrayFormatError(f"{path}: shape must be a rank-1 or rank-2 tuple, got {shape!r}")
-    dtype = np.dtype(_READ_DTYPES[descr])
-    count = int(np.prod(shape, dtype=np.int64))
-    body = raw[header_end:]
-    if len(body) != count * dtype.itemsize:
-        raise ArrayFormatError(
-            f"{path}: payload holds {len(body)} bytes, header implies {count * dtype.itemsize}"
-        )
-    arr = np.frombuffer(body, dtype=dtype).reshape(shape)
+    """Parse the header, then read the payload straight into a new array,
+    so the data are held once (<f4 adds its float64 copy)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(10)
+        if len(lead) < 10 or lead[:6] != _NPY_MAGIC:
+            raise ArrayFormatError(f"{path}: bad magic bytes, not an NPY file")
+        major, minor = lead[6], lead[7]
+        if (major, minor) != (1, 0):
+            raise ArrayFormatError(f"{path}: unsupported NPY version {major}.{minor}")
+        header_len = int.from_bytes(lead[8:10], "little")
+        header_end = 10 + header_len
+        if size < header_end:
+            raise ArrayFormatError(f"{path}: truncated header")
+        try:
+            header = ast.literal_eval(fh.read(header_len).decode("latin1"))
+        except (ValueError, SyntaxError) as exc:
+            raise ArrayFormatError(f"{path}: unparseable header: {exc}") from exc
+        if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
+            raise ArrayFormatError(f"{path}: header must have exactly descr/fortran_order/shape")
+        descr = header["descr"]
+        if descr not in _READ_DTYPES:
+            raise ArrayFormatError(f"{path}: unsupported dtype {descr!r} (need <f4, <f8 or <i8)")
+        if header["fortran_order"]:
+            raise ArrayFormatError(f"{path}: fortran_order arrays are not supported")
+        shape = header["shape"]
+        if not isinstance(shape, tuple) or len(shape) not in (1, 2) or any(
+            not isinstance(s, int) or s < 0 for s in shape
+        ):
+            raise ArrayFormatError(f"{path}: shape must be a rank-1 or rank-2 tuple, got {shape!r}")
+        dtype = np.dtype(_READ_DTYPES[descr])
+        expected = math.prod(shape) * dtype.itemsize
+        if size - header_end != expected:
+            raise ArrayFormatError(
+                f"{path}: payload holds {size - header_end} bytes, header implies {expected}"
+            )
+        arr = np.empty(shape, dtype=dtype)
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+        if got != expected:  # the file shrank after it was measured
+            raise ArrayFormatError(f"{path}: payload holds {got} bytes, header implies {expected}")
     if descr == "<f4":
         arr = arr.astype(np.float64)
-    return arr.copy()
+    return arr
 
 
 def _read_csv(path: Path) -> np.ndarray:

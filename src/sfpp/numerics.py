@@ -23,6 +23,11 @@ LN_2PI = math.log(2.0 * math.pi)
 # order never depends on input size, threading, or chunking.
 _COV_BLOCK = 256
 
+# Per-row passes over an n x C matrix (see row_blocks) take about this many
+# floats per block, and never fewer than _MIN_BLOCK_ROWS rows.
+_BLOCK_FLOATS = 2 ** 18
+_MIN_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -44,6 +49,18 @@ class CholeskyFactor:
     def inverse(self) -> np.ndarray:
         """The inverse of the regularized matrix, solved once per factor."""
         return solve_spd(self, np.eye(self.dim))
+
+
+def row_blocks(n: int, class_count: int):
+    """Slices of the fixed row blocks that every per-row pass walks in order.
+
+    A block holds ``max(2048, 2**18 // class_count)`` rows, about 2 MB of
+    float64 per block temporary. The 2048-row floor keeps a head of up to
+    2048 rows in one block, so its matrix products keep their shapes.
+    """
+    step = max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // max(int(class_count), 1))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -267,6 +267,42 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"record {record}" in err and repr(field) in err
 
+    @pytest.mark.parametrize("text", [
+        '[{"seed": ' + "9" * 5000 + "}]",  # past Python's 4300-digit integer limit
+        "[" * 100_000 + "]" * 100_000,       # past the decoder's recursion limit
+        "[{",
+    ])
+    def test_unreadable_suite_file_named_exit_2(self, tmp_path, capsys, text):
+        suite = tmp_path / "suite.json"
+        suite.write_text(text)
+        code = main(["bench", "--suite", str(suite), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{suite}: not a valid suite file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("n_train", 10**12, "'n_train' and 'feature_dim'"),
+        ("n_target", bench.MAX_SPLIT_FLOATS // 5 + 1, "'n_target' and 'feature_dim'"),
+        ("feature_dim", 10**6, "'n_train' and 'feature_dim'"),
+        ("class_count", 10**9, "'class_count' and 'feature_dim'"),
+    ])
+    def test_oversized_split_named_exit_2(self, tmp_path, capsys, field, value, named):
+        suite = small_suite_file(tmp_path)
+        docs = json.loads(suite.read_text())
+        docs[1][field] = value
+        suite.write_text(json.dumps(docs))
+        code = main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", "ac", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 1" in err and named in err and str(bench.MAX_SPLIT_FLOATS) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_split_at_the_cap_accepted(self):
+        doc = bench.scenario_to_dict(bench.default_suite(0)[0])
+        doc["n_target"] = bench.MAX_SPLIT_FLOATS // doc["feature_dim"]
+        assert bench.scenario_from_dict(doc).n_target == doc["n_target"]
+
 
 class TestDumpCalibration:
     def test_writes_four_arrays(self, tmp_path, logits_file, capsys):

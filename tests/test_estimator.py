@@ -95,6 +95,28 @@ class TestGradNormPair:
         with pytest.raises(DegenerateInputError):
             grad_norm_pair(m, np.zeros(3), feature_norm=0.0)
 
+    def test_one_posterior_per_pair(self, monkeypatch):
+        from sfpp import calibrator
+
+        rng = np.random.default_rng(179)
+        m = random_model(rng, 5)
+        x = rng.normal(size=5) * 2.0
+        calls = []
+        original = calibrator.posterior_matrix
+        monkeypatch.setattr(calibrator, "posterior_matrix",
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        pl_norm, u_norm = grad_norm_pair(m, x)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        s = posterior_matrix(m, x)[0]
+        pl = np.eye(5)[np.argmax(s)]
+        np.testing.assert_allclose(
+            [pl_norm, u_norm],
+            [np.linalg.norm(grad_wrt_logits(m, x, pl)),
+             np.linalg.norm(grad_wrt_logits(m, x, np.full(5, 0.2)))],
+            rtol=1e-12,
+        )
+
 
 class TestJudge:
     def test_confident_sample_correct(self):

@@ -307,3 +307,59 @@ class TestReports:
                            grad_norm_pairs=pairs)
         with pytest.raises(ValueError, match=f"non-finite real: {bad}"):
             report_to_json(r)
+
+
+class TestNpyReader:
+    """The reader keeps every message of the whole-file parser it replaced."""
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\x93NUM", "bad magic bytes, not an NPY file"),
+        (b"\x93NUMPZ" + npy_bytes()[6:], "bad magic bytes, not an NPY file"),
+        (npy_bytes()[:6] + bytes([2, 0]) + npy_bytes()[8:], "unsupported NPY version 2.0"),
+        (npy_bytes()[:8] + (4000).to_bytes(2, "little") + npy_bytes()[10:], "truncated header"),
+        (npy_bytes()[:8] + (9).to_bytes(2, "little") + b"{'descr':", "unparseable header: "),
+        (npy_bytes(shape=b"(2, 2), 'x': 1"), "header must have exactly descr/fortran_order/shape"),
+        (npy_bytes(descr=b"'<i4'", payload=np.zeros(4, "<i4").tobytes()),
+         "unsupported dtype '<i4' (need <f4, <f8 or <i8)"),
+        (npy_bytes(fortran=b"True"), "fortran_order arrays are not supported"),
+        (npy_bytes(shape=b"(2, 2, 1)"), "shape must be a rank-1 or rank-2 tuple, got (2, 2, 1)"),
+        (npy_bytes(shape=b"(2, -2)"), "shape must be a rank-1 or rank-2 tuple, got (2, -2)"),
+        (npy_bytes(payload=np.zeros(3, "<f8").tobytes()), "payload holds 24 bytes, header implies 32"),
+        (npy_bytes(payload=b""), "payload holds 0 bytes, header implies 32"),
+        (npy_bytes(payload=np.zeros(5, "<f8").tobytes()), "payload holds 40 bytes, header implies 32"),
+        (npy_bytes(payload=np.zeros(4, "<f8").tobytes() + b"\n"),
+         "payload holds 33 bytes, header implies 32"),
+        (npy_bytes(descr=b"'<f4'", shape=b"(3,)", payload=np.zeros(2, "<f4").tobytes()),
+         "payload holds 8 bytes, header implies 12"),
+    ])
+    def test_malformed_messages(self, tmp_path, raw, message):
+        p = tmp_path / "x.npy"
+        p.write_bytes(raw)
+        with pytest.raises(ArrayFormatError) as info:
+            read_array(p)
+        assert str(info.value).startswith(f"{p}: {message}")
+
+    @pytest.mark.parametrize("descr, values", [
+        ("<f8", np.arange(12.0).reshape(3, 4) - 5.5),
+        ("<f4", (np.arange(12.0).reshape(3, 4) / 8.0).astype("<f4")),
+        ("<i8", np.arange(-3, 9).reshape(4, 3)),
+        ("<f8", np.zeros((0, 3))),
+    ])
+    def test_returns_an_owned_writable_array(self, tmp_path, descr, values):
+        p = tmp_path / "x.npy"
+        shape = str(values.shape).encode()
+        p.write_bytes(npy_bytes(descr=f"'{descr}'".encode(), shape=shape,
+                                payload=np.ascontiguousarray(values, descr).tobytes()))
+        got = read_array(p)
+        assert got.dtype == (np.int64 if descr == "<i8" else np.float64)
+        assert got.shape == values.shape
+        np.testing.assert_array_equal(got, values.astype(got.dtype))
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+        got[...] = 1  # the file is not mapped: writing leaves it as it was
+        np.testing.assert_array_equal(read_array(p), values.astype(got.dtype))
+
+    def test_large_payload_read_whole(self, tmp_path):
+        v = np.random.default_rng(5).normal(size=(3000, 70))
+        p = tmp_path / "big.npy"
+        write_array(p, v)
+        assert read_array(p).tobytes() == v.tobytes()
