@@ -9,13 +9,12 @@ benchmark ship alongside.
 """
 
 from .baselines import run_baseline, softmax
-from .calibrator import CalibratedOutput, CalibratorConfig, GaussianModel, calibrate, fit
+from .calibrator import CalibratorConfig, GaussianModel, fit
 from .errors import SfppError
 from .estimator import EstimatorConfig, Verdict, judge, predict_accuracy
 from .ingest import DatasetBundle, EstimateReport, load_bundle, read_array, write_array, write_report
 
 __all__ = [
-    "CalibratedOutput",
     "CalibratorConfig",
     "DatasetBundle",
     "EstimateReport",
@@ -23,7 +22,6 @@ __all__ = [
     "GaussianModel",
     "SfppError",
     "Verdict",
-    "calibrate",
     "fit",
     "judge",
     "load_bundle",

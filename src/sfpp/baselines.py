@@ -12,6 +12,7 @@ here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,10 +34,14 @@ class SoftmaxOutput:
     temperature: float
 
 
+def _check_temperature(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DegenerateInputError(f"{name} must be finite and > 0, got {value}")
+
+
 def softmax(logits, temperature: float = 1.0) -> SoftmaxOutput:
     """Row-stable softmax of logits / temperature, formed in one new array."""
-    if not temperature > 0.0:
-        raise DegenerateInputError(f"temperature must be positive, got {temperature}")
+    _check_temperature("temperature", temperature)
     p = np.asarray(logits, dtype=np.float64) / temperature
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
@@ -170,6 +175,7 @@ def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float
     method = {"maxprob": "atc-prob", "negentropy": "atc-entropy", "energy": "atc-energy"}.get(score)
     if method is None:
         raise DegenerateInputError(f"score must be one of {ATC_SCORES}, got {score!r}")
+    _check_temperature("energy_temperature", energy_temperature)
     _need_validation(bundle, method)
     t0 = time.perf_counter()
     val_scores = _atc_scores(bundle.val_logits, score, energy_temperature)

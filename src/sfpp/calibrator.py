@@ -22,6 +22,7 @@ term-by-term form cancels in the same normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateInputError, NumericalError
-from .ingest import DatasetBundle
 
 MODES = ("bayes", "literal")  # "literal" is an alias of "bayes", kept for compatibility
 
@@ -43,8 +43,8 @@ class CalibratorConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DegenerateInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.cov_jitter < 0:
-            raise DegenerateInputError("cov_jitter must be >= 0")
+        if not (math.isfinite(self.cov_jitter) and self.cov_jitter >= 0):
+            raise DegenerateInputError(f"cov_jitter must be finite and >= 0, got {self.cov_jitter}")
 
 
 @dataclass(frozen=True)
@@ -80,36 +80,12 @@ class GaussianModel:
         return self.log_priors - 0.5 * np.einsum("jk,kj->j", centered, self.weights)
 
 
-@dataclass(frozen=True)
-class CalibratedOutput:
-    log_posteriors: np.ndarray        # (n, C), rows normalized in log space
-    posteriors: np.ndarray            # (n, C), rows sum to 1
-
-
 def pseudo_labels(logits) -> np.ndarray:
     """Per-row argmax; ties break toward the lowest class index."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise DegenerateInputError("logits contain non-finite entries")
     return np.argmax(logits, axis=1)
-
-
-def log_gaussian(factor: numerics.CholeskyFactor, mu, x, sigma_inv_scale: float = 1.0) -> float:
-    """Log density of x under N(mu, Sigma), quadratic form scaled by sigma_inv_scale.
-
-    The Mahalanobis term comes from a solve against the factor, never from
-    an explicit inverse.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    d = factor.dim
-    if mu.shape != (d,) or x.shape != (d,):
-        raise DegenerateInputError(
-            f"mu/x must be length-{d} vectors, got {mu.shape} and {x.shape}"
-        )
-    y = np.linalg.solve(factor.lower, x - mu)
-    m2 = float(y @ y)
-    return -0.5 * (factor.log_det + d * numerics.LN_2PI + sigma_inv_scale * m2)
 
 
 def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
@@ -197,11 +173,3 @@ def posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray
     """exp of the log posteriors, renormalized so each row sums to exactly 1."""
     p = np.exp(log_posterior_matrix(model, x, mode))
     return p / p.sum(axis=1, keepdims=True)
-
-
-def calibrate(bundle: DatasetBundle, config: CalibratorConfig = CalibratorConfig()) -> CalibratedOutput:
-    """Fit on the bundle's target logits and map every row to its posterior."""
-    model = fit(bundle.target_logits, config)
-    log_post = log_posterior_matrix(model, bundle.target_logits, config.mode)
-    p = np.exp(log_post)
-    return CalibratedOutput(log_posteriors=log_post, posteriors=p / p.sum(axis=1, keepdims=True))

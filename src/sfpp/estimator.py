@@ -9,7 +9,7 @@ fraction of samples passing that test.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,26 +22,8 @@ METHOD_ID = "calibrated-gradnorm"
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    mode: str = "bayes"
+class EstimatorConfig(CalibratorConfig):
     eq5_literal: bool = False
-    cov_jitter: float = 1e-6
-    normalize_threshold: int = 32
-
-    def calibrator_config(self) -> CalibratorConfig:
-        return CalibratorConfig(
-            mode=self.mode,
-            cov_jitter=self.cov_jitter,
-            normalize_threshold=self.normalize_threshold,
-        )
-
-    def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "eq5_literal": self.eq5_literal,
-            "cov_jitter": self.cov_jitter,
-            "normalize_threshold": self.normalize_threshold,
-        }
 
 
 @dataclass(frozen=True)
@@ -59,22 +41,31 @@ def _check_target(target: np.ndarray) -> np.ndarray:
     return target
 
 
-def _grad_batch(model: GaussianModel, residuals: np.ndarray) -> np.ndarray:
-    """Closed-form loss gradients wrt logits, one row per sample.
-
-    residuals holds posterior-minus-target rows. The log posterior is
-    log_softmax((z - center) @ A + beta), so the gradient of the
-    cross-entropy is residual @ A^T.
-    """
-    return residuals @ model.weights.T
-
-
 def grad_wrt_logits(model: GaussianModel, x, target, mode: str = "bayes") -> np.ndarray:
-    """Gradient of the calibrated cross-entropy loss with respect to the logits."""
+    """Gradient of the calibrated cross-entropy loss with respect to the logits.
+
+    The log posterior is log_softmax((z - center) @ A + beta), so the
+    gradient is (posterior - target) @ A^T.
+    """
     x = np.asarray(x, dtype=np.float64)
     target = _check_target(target)
     s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
-    return _grad_batch(model, (s - target)[None, :])[0]
+    return (s - target) @ model.weights.T
+
+
+def _norm_pairs(model: GaussianModel, rows: np.ndarray, mode: str):
+    """Pseudo-labels and logit-space gradient norms toward them and toward uniform.
+
+    One posterior per row; the pseudo-label is its argmax, and each
+    gradient is that target's residual times A^T.
+    """
+    s = calibrator.posterior_matrix(model, rows, mode)
+    pl = np.argmax(s, axis=1)
+    g_u = (s - 1.0 / model.class_count) @ model.weights.T
+    norm_u = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
+    s[np.arange(pl.size), pl] -= 1.0
+    g_pl = s @ model.weights.T
+    return pl, np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl)), norm_u
 
 
 def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
@@ -88,14 +79,9 @@ def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
     """
     if feature_norm is not None and not feature_norm > 0.0:
         raise DegenerateInputError(f"feature_norm must be positive, got {feature_norm}")
-    x = np.asarray(x, dtype=np.float64)
-    c = model.class_count
-    s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
-    pl = np.zeros(c)
-    pl[int(np.argmax(s))] = 1.0
-    g_pl, g_u = _grad_batch(model, s - np.stack([pl, np.full(c, 1.0 / c)]))
+    _, norm_pl, norm_u = _norm_pairs(model, np.asarray(x, dtype=np.float64)[None, :], mode)
     factor = float(np.sqrt(feature_norm * feature_norm + 1.0)) if feature_norm is not None else 1.0
-    return float(np.linalg.norm(g_pl) * factor), float(np.linalg.norm(g_u) * factor)
+    return float(norm_pl[0] * factor), float(norm_u[0] * factor)
 
 
 def judge(pair: tuple[float, float], sample_index: int = 0, eq5_literal: bool = False) -> Verdict:
@@ -112,22 +98,14 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     t0 = time.perf_counter()
     z = bundle.target_logits
     n, c = z.shape
-    model = calibrator.fit(z, config.calibrator_config())
+    model = calibrator.fit(z, config)
 
-    # Posterior, pseudo-label, both gradients and both norms, one row block
-    # at a time: no n x C array is formed beyond the input.
+    # One row block at a time: no n x C array is formed beyond the input.
     pl_idx = np.empty(n, dtype=np.intp)
     norm_pl = np.empty(n)
     norm_u = np.empty(n)
     for rows in numerics.row_blocks(n, c):
-        s = calibrator.posterior_matrix(model, z[rows], config.mode)
-        pl = np.argmax(s, axis=1)
-        pl_idx[rows] = pl
-        g_u = _grad_batch(model, s - 1.0 / c)
-        norm_u[rows] = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
-        s[np.arange(pl.size), pl] -= 1.0
-        g_pl = _grad_batch(model, s)
-        norm_pl[rows] = np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl))
+        pl_idx[rows], norm_pl[rows], norm_u[rows] = _norm_pairs(model, z[rows], config.mode)
 
     if bundle.target_features is not None:
         feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)
@@ -136,7 +114,7 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
         norm_u *= factor
 
     correct = (norm_u < norm_pl) if config.eq5_literal else (norm_pl < norm_u)
-    echo = config.echo()
+    echo = asdict(config)
     echo["pl_vs_raw_argmax_disagreements"] = int(np.sum(pl_idx != np.argmax(z, axis=1)))
     return EstimateReport(
         method=METHOD_ID,

@@ -266,6 +266,8 @@ def load_bundle(manifest: dict) -> DatasetBundle:
         raise BundleValidationError("val_logits and val_labels must be given together")
     if "val_logits" in arrays:
         val_logits = _as_2d("val_logits", arrays["val_logits"])
+        if val_logits.shape[0] < 1:
+            raise BundleValidationError(f"val_logits needs at least 1 row, got shape {val_logits.shape}")
         if val_logits.shape[1] != c:
             raise BundleValidationError(
                 f"val_logits has {val_logits.shape[1]} columns but target_logits has {c}"
@@ -276,7 +278,7 @@ def load_bundle(manifest: dict) -> DatasetBundle:
                 f"val_labels has {val_labels.shape[0]} entries but val_logits has "
                 f"{val_logits.shape[0]} rows"
             )
-        if val_labels.size and (val_labels.min() < 0 or val_labels.max() >= c):
+        if val_labels.min() < 0 or val_labels.max() >= c:
             raise BundleValidationError(
                 f"val_labels must lie in [0, {c}), found range "
                 f"[{val_labels.min()}, {val_labels.max()}]"

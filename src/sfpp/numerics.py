@@ -1,10 +1,11 @@
 """Deterministic dense linear-algebra and log-domain kernels.
 
 Every function here is pure, and all linear algebra goes through
-``numpy.linalg`` and numpy's own BLAS. ``covariance`` sums fixed 256-row
-blocks in index order, one BLAS product per block, so its result does not
-depend on input chunking; ``sfpp bench`` writes the same bytes for any
-``SFPP_THREADS`` (acceptance criterion 12).
+``numpy.linalg`` and numpy's own BLAS. ``row_blocks`` is the one block
+rule: the covariance and every per-row pass over an n x C matrix walk its
+blocks in index order, so results do not depend on input chunking;
+``sfpp bench`` writes the same bytes for any ``SFPP_THREADS`` (acceptance
+criterion 12).
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 from .errors import DegenerateInputError, SingularMatrixError
 
 LN_2PI = math.log(2.0 * math.pi)
-
-# Rows per partial-sum block in covariance(). Fixed so the summation
-# order never depends on input size, threading, or chunking.
-_COV_BLOCK = 256
 
 # Per-row passes over an n x C matrix (see row_blocks) take about this many
 # floats per block, and never fewer than _MIN_BLOCK_ROWS rows.
@@ -72,39 +69,25 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One compensated-summation step (Neumaier variant), elementwise."""
-    t = total + part
-    big = np.abs(total) >= np.abs(part)
-    comp = comp + np.where(big, (total - t) + part, (part - t) + total)
-    return t, comp
-
-
 def covariance(samples) -> np.ndarray:
     """Unbiased sample covariance (divides by n - 1) of row vectors.
 
     Two passes: column means first, then the Gram matrix of the centered
-    rows. Partial sums are taken over fixed 256-row blocks in index order
-    and combined with compensated summation, so the result is independent
-    of caller-side parallelism and exactly symmetric.
+    rows, one BLAS product per ``row_blocks(n, d)`` block added in index
+    order, so the result is independent of caller-side parallelism and
+    exactly symmetric.
     """
     a = _as_matrix(samples, "samples")
     n, d = a.shape
     if n < 2:
         raise DegenerateInputError(f"covariance needs at least 2 samples, got {n}")
 
-    total = np.zeros(d)
-    comp = np.zeros(d)
-    for start in range(0, n, _COV_BLOCK):
-        total, comp = _neumaier_add(total, comp, np.sum(a[start:start + _COV_BLOCK], axis=0))
-    mean = (total + comp) / n
-
+    mean = a.sum(axis=0) / n
     gram = np.zeros((d, d))
-    gcomp = np.zeros((d, d))
-    for start in range(0, n, _COV_BLOCK):
-        centered = a[start:start + _COV_BLOCK] - mean
-        gram, gcomp = _neumaier_add(gram, gcomp, centered.T @ centered)
-    return (gram + gcomp) / (n - 1)
+    for rows in row_blocks(n, d):
+        centered = a[rows] - mean
+        gram += centered.T @ centered
+    return gram / (n - 1)
 
 
 def cholesky_with_jitter(a, base_jitter: float) -> CholeskyFactor:

@@ -39,7 +39,7 @@ def whole_matrix_predict(bundle, config=estimator.EstimatorConfig()):
     """predict_accuracy's verdicts and norms from full n x C posteriors."""
     z = bundle.target_logits
     n, c = z.shape
-    model = calibrator.fit(z, config.calibrator_config())
+    model = calibrator.fit(z, config)
     s = calibrator.posterior_matrix(model, z, config.mode)
     residual_pl = s.copy()
     residual_pl[np.arange(n), np.argmax(s, axis=1)] -= 1.0

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from sfpp.calibrator import (
-    CalibratedOutput,
     CalibratorConfig,
     GaussianModel,
-    calibrate,
     fit,
-    log_gaussian,
     log_posterior,
     log_posterior_matrix,
     posterior_matrix,
@@ -20,8 +17,6 @@ from sfpp.errors import DegenerateInputError
 from sfpp.estimator import predict_accuracy
 from sfpp.ingest import DatasetBundle
 from sfpp.numerics import cholesky_with_jitter
-
-LN_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -190,38 +185,6 @@ class TestFit:
             fit(np.array([[1.0, 2.0]]))
 
 
-# ------------------------------------------------------------ log_gaussian
-
-class TestLogGaussian:
-    def test_at_mean_identity_cov(self):
-        f = cholesky_with_jitter(np.eye(2), 0.0)
-        got = log_gaussian(f, np.zeros(2), np.zeros(2))
-        np.testing.assert_allclose(got, -LN_2PI, rtol=1e-15)
-
-    def test_three_four_five(self):
-        f = cholesky_with_jitter(np.eye(2), 0.0)
-        got = log_gaussian(f, np.zeros(2), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(got, -LN_2PI - 12.5, rtol=1e-15)
-
-    def test_matches_multiprecision_oracle(self):
-        rng = np.random.default_rng(97)
-        for _ in range(5):
-            c = int(rng.integers(2, 7))
-            b = rng.normal(size=(c, c))
-            cov = b @ b.T + 0.3 * np.eye(c)
-            mu = rng.normal(size=c)
-            x = rng.normal(size=c) * 2.0
-            f = cholesky_with_jitter(cov, 0.0)
-            got = log_gaussian(f, mu, x)
-            want = mp_log_gaussian(cov, mu, x)
-            assert abs(got - want) < 1e-10
-
-    def test_scaled_quadratic(self):
-        f = cholesky_with_jitter(np.eye(2), 0.0)
-        got = log_gaussian(f, np.zeros(2), np.array([3.0, 4.0]), sigma_inv_scale=0.5)
-        np.testing.assert_allclose(got, -LN_2PI - 6.25, rtol=1e-15)
-
-
 # ----------------------------------------------------------- log_posterior
 
 class TestLogPosterior:
@@ -334,21 +297,6 @@ class TestInvariants:
             if abs(d0 - d1) < 1e-9:
                 continue
             assert (row[0] > row[1]) == (d0 < d1)
-
-
-# --------------------------------------------------------------- calibrate
-
-class TestCalibrate:
-    def test_deterministic_and_normalized(self):
-        rng = np.random.default_rng(139)
-        z = rng.normal(size=(50, 3)) * 2.0
-        bundle = DatasetBundle(target_logits=z, class_count=3)
-        out1 = calibrate(bundle)
-        out2 = calibrate(bundle)
-        assert isinstance(out1, CalibratedOutput)
-        assert out1.log_posteriors.tobytes() == out2.log_posteriors.tobytes()
-        np.testing.assert_allclose(out1.posteriors.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(out1.posteriors, np.exp(out1.log_posteriors), atol=1e-12)
 
 
 # ---------------------------------------------- linear form vs whitened form

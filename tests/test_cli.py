@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sfpp
-from sfpp import bench
+from sfpp import baselines, bench
 from sfpp.cli import main
 from sfpp.ingest import write_array
 
@@ -121,6 +121,39 @@ class TestBaseline:
             main(["baseline", "--method", "agree-score", "--logits", str(logits_file),
                   "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", baselines.SOURCE_BASED_METHODS)
+    def test_empty_validation_split_named_exit_2(self, tmp_path, capsys, method):
+        z, v, y = tmp_path / "z.npy", tmp_path / "v.npy", tmp_path / "y.npy"
+        write_array(z, np.random.default_rng(313).normal(size=(50, 4)))
+        write_array(v, np.zeros((0, 4)))
+        write_array(y, np.zeros(0, dtype=np.int64))
+        code = main(["baseline", "--method", method, "--logits", str(z),
+                     "--val-logits", str(v), "--val-labels", str(y),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "val_logits" in err and "(0, 4)" in err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, named", [
+        (["predict", "--cov-jitter", "nan"], "cov_jitter"),
+        (["predict", "--cov-jitter", "inf"], "cov_jitter"),
+        (["dump-calibration", "--cov-jitter", "nan"], "cov_jitter"),
+        (["baseline", "--method", "atc-energy", "--energy-temperature", "inf"], "energy_temperature"),
+        (["baseline", "--method", "atc-energy", "--energy-temperature", "0"], "energy_temperature"),
+        (["baseline", "--method", "atc-energy", "--energy-temperature", "nan"], "energy_temperature"),
+        (["baseline", "--method", "atc-energy", "--energy-temperature=-1"], "energy_temperature"),
+        (["baseline", "--method", "gradnorm", "--temperature", "inf"], "temperature"),
+    ], ids=["predict-jitter-nan", "predict-jitter-inf", "dump-jitter-nan", "energy-inf",
+            "energy-zero", "energy-nan", "energy-negative", "gradnorm-temperature-inf"])
+    def test_bad_value_named_exit_2(self, tmp_path, logits_file, val_files, capsys, argv, named):
+        argv = argv + ["--logits", str(logits_file), "--out", str(tmp_path / "out")]
+        if argv[0] == "baseline":
+            argv += ["--val-logits", str(val_files[0]), "--val-labels", str(val_files[1])]
+        assert main(argv) == 2
+        assert f"{named} must be finite" in capsys.readouterr().err
 
 
 def small_suite_file(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sfpp.calibrator import posterior_matrix
+from sfpp.calibrator import fit, log_posterior_matrix, posterior_matrix
 from sfpp.errors import DegenerateInputError
 from sfpp.estimator import (
     EstimatorConfig,
@@ -225,3 +225,39 @@ class TestPredictAccuracy:
         assert literal.config_echo.pop("mode") == "literal"
         bayes.elapsed_ms = literal.elapsed_ms = 0.0
         assert report_to_json(literal) == report_to_json(bayes)
+
+
+def head_with_unpredicted_class(rng, n, c):
+    """N(0, 1) logits with +3 on a drawn true class; the last class is
+    lowered by 10, so it never wins the argmax."""
+    z = rng.normal(size=(n, c))
+    z[np.arange(n), rng.integers(0, c, n)] += 3.0
+    z[:, -1] -= 10.0
+    return z
+
+
+class TestSymmetries:
+    """The symmetries that hold on both sides of normalize_threshold (32)."""
+
+    @pytest.mark.parametrize("c", [5, 40])
+    def test_class_relabelling_permutes_posteriors_and_keeps_verdicts(self, c):
+        rng = np.random.default_rng(233 + c)
+        z = head_with_unpredicted_class(rng, 20 * c, c)
+        perm = rng.permutation(c)
+        model, relabelled = fit(z), fit(z[:, perm])
+        assert not model.represented[-1]
+        assert (model.sigma_inv_scale == 1.0) == (c <= 32)
+        np.testing.assert_allclose(log_posterior_matrix(relabelled, z[:, perm]),
+                                   log_posterior_matrix(model, z)[:, perm], rtol=0, atol=1e-9)
+        a = predict_accuracy(DatasetBundle(target_logits=z, class_count=c))
+        b = predict_accuracy(DatasetBundle(target_logits=z[:, perm], class_count=c))
+        np.testing.assert_array_equal(b.per_sample_correct, a.per_sample_correct)
+
+    @pytest.mark.parametrize("c", [5, 40])
+    def test_row_permutation_permutes_verdicts(self, c):
+        rng = np.random.default_rng(239 + c)
+        z = head_with_unpredicted_class(rng, 20 * c, c)
+        perm = rng.permutation(z.shape[0])
+        a = predict_accuracy(DatasetBundle(target_logits=z, class_count=c))
+        b = predict_accuracy(DatasetBundle(target_logits=z[perm], class_count=c))
+        np.testing.assert_array_equal(b.per_sample_correct, a.per_sample_correct[perm])

@@ -12,6 +12,7 @@ from sfpp.numerics import (
     covariance,
     logsumexp,
     nuclear_norm,
+    row_blocks,
     solve_spd,
 )
 
@@ -83,6 +84,16 @@ class TestCovariance:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(600, 4))
         assert covariance(a).tobytes() == covariance(a).tobytes()
+
+    def test_multi_block_offset_matches_longdouble_reference(self):
+        # 128 columns give 2048-row blocks: three blocks and a 300-row tail.
+        a = np.random.default_rng(23).normal(size=(3 * 2048 + 300, 128)) + 1e3
+        assert len(list(row_blocks(*a.shape))) == 4
+        wide = a.astype(np.longdouble)
+        centered = wide - wide.sum(axis=0) / a.shape[0]
+        want = (centered.T @ centered) / (a.shape[0] - 1)
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(covariance(a) - want))) < 1e-13 * scale
 
 
 # --------------------------------------------------------------- cholesky
