@@ -309,7 +309,9 @@ def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
 
 def run_baseline(method: str, bundle: DatasetBundle, temperature: float = 1.0,
                  energy_temperature: float = 1.0, seed=None) -> EstimateReport:
-    """Dispatch a CLI method id onto the implementing estimator."""
+    """Dispatch a CLI method id onto its estimator, after checking both temperatures."""
+    _check_temperature("temperature", temperature)
+    _check_temperature("energy_temperature", energy_temperature)
     if method == "ac":
         return ac(bundle, seed=seed)
     if method == "nuclear":

@@ -334,20 +334,14 @@ class MaeTable:
     rows: list = field(default_factory=list)  # (scenario, method, ratio, trial, ae | None)
 
 
-def _run_source_free(method, bundle, scenario):
-    if method == estimator.METHOD_ID:
-        return estimator.predict_accuracy(bundle, seed=scenario.seed)
-    return baselines.run_baseline(method, bundle, seed=scenario.seed)
-
-
 def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     """Run every requested estimator on one scenario; returns (true_acc, rows).
 
     Source-free estimators run once and their error is copied to every
     ratio. Source-based estimators see ``trials`` seeded subsamples of the
-    validation split per ratio; the full-ratio subsample is canonical (no
-    permutation) so repeat trials there are literally the same run. A ratio
-    that leaves fewer than two validation samples is recorded as None.
+    validation split per ratio; the full split is canonical (no
+    permutation), so it runs once per method. A ratio that leaves fewer
+    than two validation samples is recorded as None.
     """
     data = generate(scenario)
     w, b = train_classifier(
@@ -357,56 +351,43 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     target_logits = logits_of(data.target_x, w, b)
     val_logits = logits_of(data.val_x, w, b)
     true_acc = float(np.mean(np.argmax(target_logits, axis=1) == data.target_y))
-
-    base_bundle = DatasetBundle(
-        target_logits=target_logits,
-        class_count=scenario.class_count,
-        target_features=data.target_x,
-        last_layer_weights=w,
-        last_layer_bias=b,
-    )
     n_val = scenario.n_val
-    subsamples = {}
-    for r_idx, ratio in enumerate(ratios):
-        count = int(ratio * n_val)
-        for trial in range(trials):
-            if count >= n_val:
-                subsamples[(r_idx, trial)] = np.arange(n_val)
-            elif count >= 2:
-                rng = Xorshift64Star(mix_seed(scenario.seed, r_idx, trial))
-                subsamples[(r_idx, trial)] = rng.sample_indices(n_val, count)
-            else:
-                subsamples[(r_idx, trial)] = None
+
+    @functools.cache
+    def subsample(r_idx, trial):
+        rng = Xorshift64Star(mix_seed(scenario.seed, r_idx, trial))
+        return rng.sample_indices(n_val, int(ratios[r_idx] * n_val))
+
+    def abs_error(method, val_rows=None):
+        """AE of one estimator run, on the validation rows `val_rows` (None: no split)."""
+        split = {} if val_rows is None else {
+            "val_logits": val_logits[val_rows], "val_labels": data.val_y[val_rows]}
+        bundle = DatasetBundle(target_logits=target_logits, class_count=scenario.class_count,
+                               target_features=data.target_x, **split)
+        if method == estimator.METHOD_ID:
+            report = estimator.predict_accuracy(bundle, seed=scenario.seed)
+        else:
+            report = baselines.run_baseline(method, bundle, seed=scenario.seed)
+        return abs(report.predicted_accuracy - true_acc)
 
     rows = []
     for method in methods:
         if method in SOURCE_FREE:
-            report = _run_source_free(method, base_bundle, scenario)
-            ae = abs(report.predicted_accuracy - true_acc)
-            for ratio in ratios:
-                rows.append((scenario.name, method, ratio, 0, ae))
+            ae = abs_error(method)
+            rows.extend((scenario.name, method, ratio, 0, ae) for ratio in ratios)
             continue
+        full_ae = None
         for r_idx, ratio in enumerate(ratios):
-            full_run_ae = None
+            count = int(ratio * n_val)
             for trial in range(trials):
-                idx = subsamples[(r_idx, trial)]
-                if idx is None:
-                    rows.append((scenario.name, method, ratio, trial, None))
-                    continue
-                if len(idx) >= n_val and full_run_ae is not None:
-                    rows.append((scenario.name, method, ratio, trial, full_run_ae))
-                    continue
-                bundle = DatasetBundle(
-                    target_logits=target_logits,
-                    class_count=scenario.class_count,
-                    target_features=data.target_x,
-                    val_logits=val_logits[idx],
-                    val_labels=data.val_y[idx],
-                )
-                report = baselines.run_baseline(method, bundle, seed=scenario.seed)
-                ae = abs(report.predicted_accuracy - true_acc)
-                if len(idx) >= n_val:
-                    full_run_ae = ae
+                if count >= n_val:
+                    if full_ae is None:
+                        full_ae = abs_error(method, slice(None))
+                    ae = full_ae
+                elif count >= 2:
+                    ae = abs_error(method, subsample(r_idx, trial))
+                else:
+                    ae = None
                 rows.append((scenario.name, method, ratio, trial, ae))
     return true_acc, rows
 

@@ -105,14 +105,14 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     if n < 2:
         raise DegenerateInputError(f"fit needs at least 2 rows, got {n}")
 
+    # bincount adds rows in index order, as mean(axis=0) does, and copies none
     labels = pseudo_labels(logits)
+    counts = np.bincount(labels, minlength=c)
+    represented = counts > 0
     means = np.zeros((c, c))
-    represented = np.zeros(c, dtype=bool)
-    for i in range(c):
-        members = logits[labels == i]
-        if members.shape[0]:
-            means[i] = members.mean(axis=0)
-            represented[i] = True
+    for j in range(c):
+        means[:, j] = np.bincount(labels, weights=logits[:, j], minlength=c)
+    means[represented] /= counts[represented, None]
 
     factor = numerics.cholesky_with_jitter(numerics.covariance(logits), config.cov_jitter)
 

@@ -40,7 +40,7 @@ class DatasetBundle:
 
     @property
     def has_validation(self) -> bool:
-        return self.val_logits is not None
+        return self.val_logits is not None and len(self.val_logits) > 0
 
 
 @dataclass

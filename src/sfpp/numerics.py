@@ -38,14 +38,11 @@ class CholeskyFactor:
     jitter_used: float
     log_det: float
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     @cached_property
     def inverse(self) -> np.ndarray:
-        """The inverse of the regularized matrix, solved once per factor."""
-        return solve_spd(self, np.eye(self.dim))
+        """The inverse of the regularized matrix as L^-T L^-1, exactly symmetric."""
+        inv_lower = np.linalg.inv(self.lower)
+        return inv_lower.T @ inv_lower
 
 
 def row_blocks(n: int, class_count: int):
@@ -123,21 +120,6 @@ def cholesky_with_jitter(a, base_jitter: float) -> CholeskyFactor:
             continue
         log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
         return CholeskyFactor(lower=lower, jitter_used=jitter, log_det=log_det)
-
-
-def solve_spd(factor: CholeskyFactor, rhs) -> np.ndarray:
-    """Solve ``(A + jitter*I) x = rhs`` from the Cholesky factor of A.
-
-    A solve with L, then one with L^T. ``rhs`` may be a vector or a
-    matrix of column right-hand sides.
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != factor.dim:
-        raise DegenerateInputError(
-            f"rhs has leading dimension {rhs.shape[0]}, factor is {factor.dim}x{factor.dim}"
-        )
-    y = np.linalg.solve(factor.lower, rhs)
-    return np.linalg.solve(factor.lower.T, y)
 
 
 def logsumexp(values, axis=None) -> np.ndarray | float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sfpp import bench
 from sfpp.baselines import (
+    SOURCE_BASED_METHODS,
     ac,
     atc,
     cot,
@@ -387,3 +388,11 @@ class TestRegistry:
         b = bundle_from(np.zeros((4, 2)))
         with pytest.raises(DegenerateInputError):
             run_baseline("agree-score", b)
+
+    @pytest.mark.parametrize("method", SOURCE_BASED_METHODS)
+    def test_empty_validation_split_is_missing(self, method):
+        # a bundle built in code skips load_bundle's row check
+        target = np.random.default_rng(313).normal(size=(50, 4))
+        b = bundle_from(target, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(MissingValidationDataError, match=f"^{method} "):
+            run_baseline(method, b)

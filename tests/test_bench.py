@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -257,6 +258,87 @@ def tiny_suite():
                             mean_shift=2.0, cov_scale=1.5, prior_skew=0.0,
                             cluster_spread=2.2, iterations=60, learning_rate=1.0),
     ]
+
+
+def reference_run_scenario(scenario, methods, ratios, trials):
+    """Reference for run_scenario, written out longhand: a precomputed
+    subsample table, a separate source-free path and a per-ratio cache of
+    the full-split AE."""
+    data = bench.generate(scenario)
+    w, b = bench.train_classifier(data.train_x, data.train_y, scenario.class_count,
+                                  scenario.learning_rate, scenario.iterations)
+    target_logits = bench.logits_of(data.target_x, w, b)
+    val_logits = bench.logits_of(data.val_x, w, b)
+    true_acc = float(np.mean(np.argmax(target_logits, axis=1) == data.target_y))
+    base_bundle = DatasetBundle(target_logits=target_logits, class_count=scenario.class_count,
+                                target_features=data.target_x,
+                                last_layer_weights=w, last_layer_bias=b)
+    n_val = scenario.n_val
+    subsamples = {}
+    for r_idx, ratio in enumerate(ratios):
+        count = int(ratio * n_val)
+        for trial in range(trials):
+            if count >= n_val:
+                subsamples[(r_idx, trial)] = np.arange(n_val)
+            elif count >= 2:
+                rng = bench.Xorshift64Star(bench.mix_seed(scenario.seed, r_idx, trial))
+                subsamples[(r_idx, trial)] = rng.sample_indices(n_val, count)
+            else:
+                subsamples[(r_idx, trial)] = None
+    rows = []
+    for method in methods:
+        if method in bench.SOURCE_FREE:
+            if method == estimator.METHOD_ID:
+                report = estimator.predict_accuracy(base_bundle, seed=scenario.seed)
+            else:
+                report = baselines.run_baseline(method, base_bundle, seed=scenario.seed)
+            ae = abs(report.predicted_accuracy - true_acc)
+            for ratio in ratios:
+                rows.append((scenario.name, method, ratio, 0, ae))
+            continue
+        for r_idx, ratio in enumerate(ratios):
+            full_run_ae = None
+            for trial in range(trials):
+                idx = subsamples[(r_idx, trial)]
+                if idx is None:
+                    rows.append((scenario.name, method, ratio, trial, None))
+                    continue
+                if len(idx) >= n_val and full_run_ae is not None:
+                    rows.append((scenario.name, method, ratio, trial, full_run_ae))
+                    continue
+                bundle = DatasetBundle(target_logits=target_logits,
+                                       class_count=scenario.class_count,
+                                       target_features=data.target_x,
+                                       val_logits=val_logits[idx], val_labels=data.val_y[idx])
+                report = baselines.run_baseline(method, bundle, seed=scenario.seed)
+                ae = abs(report.predicted_accuracy - true_acc)
+                if len(idx) >= n_val:
+                    full_run_ae = ae
+                rows.append((scenario.name, method, ratio, trial, ae))
+    return true_acc, rows
+
+
+class TestRunScenario:
+    def test_rows_and_baseline_calls_match_reference(self, monkeypatch):
+        calls = []
+        real = baselines.run_baseline
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "run_baseline", counted)
+        args = (bench.ALL_METHODS, (0.01, 0.05, 1.0), 3)
+        # 150 validation rows: ratio 0.01 keeps one row, so its runs are None
+        for scenario in tiny_suite():
+            scenario = dataclasses.replace(scenario, n_val=150)
+            want = reference_run_scenario(scenario, *args)
+            want_calls, calls[:] = list(calls), []
+            got = bench.run_scenario(scenario, *args)
+            assert got == want
+            assert calls == want_calls
+            calls.clear()
+            assert any(ae is None for (_s, _m, r, _t, ae) in got[1] if r == 0.01)
 
 
 class TestRunSuite:

@@ -160,16 +160,37 @@ class TestPeakMemory:
         val[np.arange(5000), val_labels] += 3.0
         return dataclasses.replace(bundle, val_logits=val, val_labels=val_labels)
 
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        """90% of rows lean (+3) to class 0, which then wins 68% of the argmaxes."""
+        rng = np.random.default_rng(31)
+        n, c = 100_000, 50
+        labels = np.where(rng.random(n) < 0.9, 0, rng.integers(0, c, n))
+        z = rng.normal(size=(n, c))
+        z[np.arange(n), labels] += 3.0
+        return DatasetBundle(target_logits=z, class_count=c)
+
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("method", [
         "predict", "gradnorm", "nuclear", "ac", "doc", "atc-prob", "atc-entropy", "atc-energy",
     ])
     def test_peak_below_half_an_array(self, tall, method):
         run = (lambda: estimator.predict_accuracy(tall)) if method == "predict" else (
             lambda: baselines.run_baseline(method, tall))
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.peak_bytes(run)
         assert peak < 0.5 * tall.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("method", ["fit", "predict"])
+    def test_skewed_head_peak_below_half_an_array(self, skewed, method):
+        run = (lambda: calibrator.fit(skewed.target_logits)) if method == "fit" else (
+            lambda: estimator.predict_accuracy(skewed))
+        peak = self.peak_bytes(run)
+        assert peak < 0.5 * skewed.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"

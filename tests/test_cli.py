@@ -146,8 +146,16 @@ class TestNumericFlags:
         (["baseline", "--method", "atc-energy", "--energy-temperature", "nan"], "energy_temperature"),
         (["baseline", "--method", "atc-energy", "--energy-temperature=-1"], "energy_temperature"),
         (["baseline", "--method", "gradnorm", "--temperature", "inf"], "temperature"),
+        (["baseline", "--method", "ac", "--temperature", "inf"], "temperature"),
+        (["baseline", "--method", "ac", "--energy-temperature=-5"], "energy_temperature"),
+        (["baseline", "--method", "nuclear", "--temperature", "0"], "temperature"),
+        (["baseline", "--method", "gradnorm", "--energy-temperature", "nan"],
+         "energy_temperature"),
+        (["baseline", "--method", "doc", "--temperature=-1"], "temperature"),
     ], ids=["predict-jitter-nan", "predict-jitter-inf", "dump-jitter-nan", "energy-inf",
-            "energy-zero", "energy-nan", "energy-negative", "gradnorm-temperature-inf"])
+            "energy-zero", "energy-nan", "energy-negative", "gradnorm-temperature-inf",
+            "ac-temperature-inf", "ac-energy-negative", "nuclear-temperature-zero",
+            "gradnorm-energy-nan", "doc-temperature-negative"])
     def test_bad_value_named_exit_2(self, tmp_path, logits_file, val_files, capsys, argv, named):
         argv = argv + ["--logits", str(logits_file), "--out", str(tmp_path / "out")]
         if argv[0] == "baseline":

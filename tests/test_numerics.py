@@ -13,7 +13,6 @@ from sfpp.numerics import (
     logsumexp,
     nuclear_norm,
     row_blocks,
-    solve_spd,
 )
 
 
@@ -138,35 +137,27 @@ class TestCholeskyWithJitter:
             cholesky_with_jitter(a, 1e-6)
 
 
-# -------------------------------------------------------------- solve_spd
+# ------------------------------------------------------- factor inverse
 
-class TestSolveSpd:
+class TestCholeskyInverse:
     def test_identity(self):
         f = cholesky_with_jitter(np.eye(2), 0.0)
-        np.testing.assert_array_equal(solve_spd(f, np.array([3.0, -1.0])), [3.0, -1.0])
+        np.testing.assert_array_equal(f.inverse, np.eye(2))
 
     def test_diagonal(self):
         f = cholesky_with_jitter(np.diag([4.0, 9.0]), 0.0)
-        np.testing.assert_allclose(solve_spd(f, np.array([4.0, 9.0])), [1.0, 1.0], rtol=1e-15)
+        np.testing.assert_allclose(f.inverse, np.diag([0.25, 1.0 / 9.0]), rtol=1e-15)
 
-    def test_random_spd_residual(self):
+    @pytest.mark.parametrize("d", [6, 40, 300])
+    def test_random_spd_residual(self, d):
         rng = np.random.default_rng(13)
-        b = rng.normal(size=(6, 6))
-        a = b @ b.T + 0.1 * np.eye(6)
-        v = rng.normal(size=6)
+        b = rng.normal(size=(d, d))
+        a = b @ b.T + 0.1 * np.eye(d)
         f = cholesky_with_jitter(a, 0.0)
-        x = solve_spd(f, v)
-        reg = a + f.jitter_used * np.eye(6)
-        assert np.linalg.norm(reg @ x - v) / np.linalg.norm(v) < 1e-10
-
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(17)
-        b = rng.normal(size=(4, 4))
-        a = b @ b.T + np.eye(4)
-        f = cholesky_with_jitter(a, 0.0)
-        rhs = rng.normal(size=(4, 3))
-        x = solve_spd(f, rhs)
-        np.testing.assert_allclose(a @ x, rhs, atol=1e-10)
+        inv = f.inverse
+        reg = a + f.jitter_used * np.eye(d)
+        assert np.linalg.norm(reg @ inv - np.eye(d)) / math.sqrt(d) < 1e-10
+        np.testing.assert_array_equal(inv, inv.T)
 
     def test_roundtrip_recovers_x(self):
         rng = np.random.default_rng(19)
@@ -176,13 +167,8 @@ class TestSolveSpd:
             a = b @ b.T + 0.2 * np.eye(d)
             x = rng.normal(size=d)
             f = cholesky_with_jitter(a, 0.0)
-            got = solve_spd(f, a @ x)
+            got = f.inverse @ (a @ x)
             assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-9
-
-    def test_dimension_mismatch(self):
-        f = cholesky_with_jitter(np.eye(3), 0.0)
-        with pytest.raises(DegenerateInputError):
-            solve_spd(f, np.zeros(4))
 
 
 # -------------------------------------------------------------- logsumexp
