@@ -22,10 +22,17 @@ from . import numerics
 from .errors import ConvergenceError, DegenerateInputError, MissingValidationDataError
 from .ingest import DatasetBundle, EstimateReport
 
-ATC_SCORES = ("maxprob", "negentropy", "energy")
+ATC_METHODS = {"atc-prob": "maxprob", "atc-entropy": "negentropy", "atc-energy": "energy"}
+ATC_SCORES = tuple(ATC_METHODS.values())
 
 SOURCE_FREE_METHODS = ("ac", "nuclear", "gradnorm")
-SOURCE_BASED_METHODS = ("atc-prob", "atc-entropy", "atc-energy", "doc", "cot")
+SOURCE_BASED_METHODS = (*ATC_METHODS, "doc", "cot")
+
+# Entropic transport settings: cot's regularization, and the Newton step cap
+# and L1 marginal tolerance of every sinkhorn_cost solve.
+OT_EPSILON = 1e-2
+OT_MAX_ITERS = 20000
+OT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ def _atc_threshold(val_scores: np.ndarray, val_accuracy: float) -> float:
 def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float = 1.0,
         seed=None) -> EstimateReport:
     """Threshold counting: pick t on validation, report P(target score > t)."""
-    method = {"maxprob": "atc-prob", "negentropy": "atc-entropy", "energy": "atc-energy"}.get(score)
+    method = next((m for m, s in ATC_METHODS.items() if s == score), None)
     if method is None:
         raise DegenerateInputError(f"score must be one of {ATC_SCORES}, got {score!r}")
     _check_temperature("energy_temperature", energy_temperature)
@@ -222,12 +229,11 @@ def _semi_dual(cost, a, b, epsilon, g):
     return value, s, a @ s - b, lse
 
 
-def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float = 1e-2,
-                  max_iters: int = 20000, tol: float = 1e-8):
+def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float = OT_EPSILON):
     """Entropically regularized transport cost (Cuturi 2013).
 
     Returns (transported cost, (f, g) potentials, iterations). Convergence
-    is declared when both marginals of the implied plan are within ``tol``
+    is declared when both marginals of the implied plan are within ``OT_TOL``
     in L1 distance of the requested ones.
 
     With the row potentials f eliminated, the dual is a smooth concave
@@ -239,7 +245,7 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
     gain, and without the second case the damping climbs until progress
     stops. The damping also keeps the step defined when a class's column
     mass underflows and zeroes its Hessian row. The solve ends once the
-    residual is below ``tol / 10``, ``max_iters`` steps are accepted or the
+    residual is below ``OT_TOL / 10``, ``OT_MAX_ITERS`` steps are accepted or the
     damping exceeds 1e12; the marginal check then decides.
     """
     n, m = cost.shape
@@ -249,9 +255,9 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
     value, s, residual, lse = _semi_dual(cost, a, b, epsilon, g)
     lam = 1e-6
     spent = 0
-    while spent < max_iters and lam <= 1e12:
+    while spent < OT_MAX_ITERS and lam <= 1e12:
         slack = float(np.abs(residual).sum())
-        if slack < 0.1 * tol:
+        if slack < 0.1 * OT_TOL:
             break
         hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / epsilon
         trial = g + np.linalg.solve(hess + lam * np.eye(m), -residual)
@@ -271,15 +277,14 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
         float(np.abs(plan.sum(axis=1) - a).sum()),
         float(np.abs(plan.sum(axis=0) - b).sum()),
     )
-    if violation >= tol:
+    if violation >= OT_TOL:
         raise ConvergenceError(
             f"transport solve did not converge; marginal violation {violation:.3e}"
         )
     return float(np.sum(plan * cost)), (f, g), spent
 
 
-def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
-        seed=None) -> EstimateReport:
+def cot(bundle: DatasetBundle, seed=None) -> EstimateReport:
     """Transport cost from predicted probabilities to the label histogram.
 
     Ground cost between a probability row p and the one-hot vertex of class
@@ -298,9 +303,9 @@ def cot(bundle: DatasetBundle, epsilon: float = 1e-2, max_iters: int = 20000,
     cost = 1.0 - probs[:, support]  # 0.5 * ||p - e_y||_1 for one-hot vertices
     a = np.full(n, 1.0 / n)
     b = hist[support]
-    ot_cost, _, iters = sinkhorn_cost(cost, a, b, epsilon=epsilon, max_iters=max_iters)
+    ot_cost, _, iters = sinkhorn_cost(cost, a, b)
     predicted = min(1.0, max(0.0, 1.0 - ot_cost))
-    config = {"epsilon": float(epsilon), "max_iters": int(max_iters),
+    config = {"epsilon": OT_EPSILON, "max_iters": OT_MAX_ITERS,
               "ot_cost": float(ot_cost), "sinkhorn_iterations": int(iters)}
     return _report("cot", predicted, n, config=config, t0=t0, seed=seed)
 
@@ -318,12 +323,8 @@ def run_baseline(method: str, bundle: DatasetBundle, temperature: float = 1.0,
         return nuclear_norm_score(bundle, seed=seed)
     if method == "gradnorm":
         return gradnorm(bundle, temperature=temperature, seed=seed)
-    if method == "atc-prob":
-        return atc(bundle, "maxprob", seed=seed)
-    if method == "atc-entropy":
-        return atc(bundle, "negentropy", seed=seed)
-    if method == "atc-energy":
-        return atc(bundle, "energy", energy_temperature=energy_temperature, seed=seed)
+    if method in ATC_METHODS:
+        return atc(bundle, ATC_METHODS[method], energy_temperature=energy_temperature, seed=seed)
     if method == "doc":
         return doc(bundle, seed=seed)
     if method == "cot":

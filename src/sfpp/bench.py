@@ -584,8 +584,9 @@ def _check_field(key, value):
     if key == "name":
         if not isinstance(value, str) or not value:
             return "must be a non-empty string"
-        if any(ch in value for ch in ",\n\r"):
-            return "must not contain ',' or a line break"
+        # the CSV leaves names unquoted, and both tables are UTF-8
+        if any(ch in ',"' or ch < " " or "\ud800" <= ch <= "\udfff" for ch in value):
+            return "must not contain ',', '\"', a control character or a lone surrogate"
         return None
     if isinstance(value, bool):
         return "must be a number, not a boolean"

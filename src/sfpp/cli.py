@@ -8,6 +8,7 @@ data. Input errors name the offending array and its shape on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,22 +20,19 @@ ALL_BASELINES = baselines.SOURCE_FREE_METHODS + baselines.SOURCE_BASED_METHODS
 
 
 def _bundle_from_args(args) -> ingest.DatasetBundle:
-    if getattr(args, "manifest", None):
-        manifest = ingest.read_manifest(args.manifest)
-    else:
-        manifest = {}
-        for key, attr in (
-            ("target_logits", "logits"),
-            ("target_features", "features"),
-            ("last_layer_weights", "weights"),
-            ("last_layer_bias", "bias"),
-            ("val_logits", "val_logits"),
-            ("val_labels", "val_labels"),
-        ):
-            value = getattr(args, attr, None)
-            if value is not None:
-                manifest[key] = value
-    return ingest.load_bundle(manifest)
+    given = {key: getattr(args, key) for key in ingest.BUNDLE_KEYS
+             if getattr(args, key, None) is not None}
+    if args.manifest is None:
+        return ingest.load_bundle(given)
+    if given:
+        raise InputError(f"--manifest and the per-array flags are exclusive; "
+                         f"also given: {', '.join(given)}")
+    return ingest.load_bundle(ingest.read_manifest(args.manifest))
+
+
+def _config_from_args(cls, args):
+    """`cls` with each field read from the flag stored under its name."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _print_and_write(report, out_path):
@@ -43,12 +41,7 @@ def _print_and_write(report, out_path):
 
 
 def cmd_predict(args) -> int:
-    config = estimator.EstimatorConfig(
-        mode=args.mode,
-        eq5_literal=args.eq5_literal,
-        cov_jitter=args.cov_jitter,
-        normalize_threshold=args.normalize_threshold,
-    )
+    config = _config_from_args(estimator.EstimatorConfig, args)
     bundle = _bundle_from_args(args)
     report = estimator.predict_accuracy(bundle, config, seed=args.seed)
     _print_and_write(report, args.out)
@@ -111,11 +104,7 @@ def cmd_bench(args) -> int:
 
 def cmd_dump_calibration(args) -> int:
     bundle = _bundle_from_args(args)
-    config = calibrator.CalibratorConfig(
-        mode=args.mode,
-        cov_jitter=args.cov_jitter,
-        normalize_threshold=args.normalize_threshold,
-    )
+    config = _config_from_args(calibrator.CalibratorConfig, args)
     model = calibrator.fit(bundle.target_logits, config)
     posteriors = calibrator.posterior_matrix(model, bundle.target_logits, config.mode)
     out = Path(args.out)
@@ -140,10 +129,10 @@ def _add_calibration_flags(p):
 
 
 def _add_bundle_flags(p, with_val=True):
-    p.add_argument("--logits", help="target logits array (.npy or .csv)")
-    p.add_argument("--features", help="penultimate-layer features array")
-    p.add_argument("--weights", help="last-layer weight matrix (C x d)")
-    p.add_argument("--bias", help="last-layer bias vector")
+    p.add_argument("--logits", dest="target_logits", help="target logits array (.npy or .csv)")
+    p.add_argument("--features", dest="target_features", help="penultimate-layer features array")
+    p.add_argument("--weights", dest="last_layer_weights", help="last-layer weight matrix (C x d)")
+    p.add_argument("--bias", dest="last_layer_bias", help="last-layer bias vector")
     if with_val:
         p.add_argument("--val-logits", dest="val_logits", help="validation logits array")
         p.add_argument("--val-labels", dest="val_labels", help="validation labels array")

@@ -177,7 +177,7 @@ def write_array(path, values) -> None:
 
 # ----------------------------------------------------------------- bundles
 
-_BUNDLE_KEYS = (
+BUNDLE_KEYS = (
     "target_logits",
     "target_features",
     "last_layer_weights",
@@ -190,6 +190,7 @@ _BUNDLE_KEYS = (
 def read_manifest(path) -> dict:
     """Parse a flat ``key = path`` manifest file; '#' starts a comment."""
     out = {}
+    first_line = {}
     for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -197,9 +198,13 @@ def read_manifest(path) -> dict:
         if "=" not in line:
             raise BundleValidationError(f"{path}:{lineno}: expected key = path, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _BUNDLE_KEYS:
+        if key not in BUNDLE_KEYS:
             raise BundleValidationError(f"{path}:{lineno}: unknown manifest key {key!r}")
+        if key in out:
+            raise BundleValidationError(
+                f"{path}:{lineno}: manifest key {key!r} repeats line {first_line[key]}")
         out[key] = value
+        first_line[key] = lineno
     return out
 
 
@@ -225,7 +230,7 @@ def load_bundle(manifest: dict) -> DatasetBundle:
     """Load arrays named by a manifest (key -> path or ndarray) and validate."""
     arrays = {}
     for key, value in manifest.items():
-        if key not in _BUNDLE_KEYS:
+        if key not in BUNDLE_KEYS:
             raise BundleValidationError(f"unknown manifest key {key!r}")
         if value is None:
             continue
@@ -257,11 +262,13 @@ def load_bundle(manifest: dict) -> DatasetBundle:
                 f"target_features width {features.shape[1]}"
             )
     if "last_layer_bias" in arrays:
-        bias = np.asarray(arrays["last_layer_bias"], dtype=np.float64).reshape(-1)
-        if bias.shape[0] != c:
+        bias = np.asarray(arrays["last_layer_bias"], dtype=np.float64)
+        if bias.shape not in ((c,), (1, c), (c, 1)):
             raise BundleValidationError(
-                f"last_layer_bias has length {bias.shape[0]} but target_logits implies C={c}"
+                f"last_layer_bias must be a length-C vector, one row or one column, "
+                f"with C={c} from target_logits; got shape {bias.shape}"
             )
+        bias = bias.reshape(-1)
     if ("val_logits" in arrays) != ("val_labels" in arrays):
         raise BundleValidationError("val_logits and val_labels must be given together")
     if "val_logits" in arrays:
@@ -296,10 +303,15 @@ def load_bundle(manifest: dict) -> DatasetBundle:
 
 # ----------------------------------------------------------------- reports
 
-def _fmt_real(x: float) -> str:
+def format_real(x: float) -> str:
+    """Render a float with 17 significant digits (round-trip exact)."""
     if not np.isfinite(x):
         raise ValueError(f"report holds a non-finite real: {x}")
     return format(float(x), ".17g")
+
+
+# JSON string escapes: backslash, quote and every control character U+0000-U+001F.
+_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{i: "\\u%04x" % i for i in range(0x20)}}
 
 
 class _Rendered(str):
@@ -327,7 +339,7 @@ def _fmt_json(value, indent: int) -> str:
     if isinstance(value, _Rendered):
         return value
     if isinstance(value, str):
-        return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"%s"' % value.translate(_JSON_ESCAPES)
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -335,12 +347,12 @@ def _fmt_json(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_real(value)
+        return format_real(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {_fmt_json(value[k], indent + 1)}' for k in value
+            f"{pad}  {_fmt_json(str(k), 0)}: {_fmt_json(value[k], indent + 1)}" for k in value
         )
         return "{\n%s\n%s}" % (items, pad)
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -349,11 +361,6 @@ def _fmt_json(value, indent: int) -> str:
             return "[]"
         return "[%s]" % ", ".join(_fmt_json(v, indent) for v in seq)
     raise TypeError(f"unserializable report value of type {type(value)!r}")
-
-
-def format_real(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return _fmt_real(x)
 
 
 def to_json_text(value) -> str:

@@ -86,6 +86,36 @@ class TestPredict:
         out = tmp_path / "r.json"
         assert main(["predict", "--manifest", str(mf), "--out", str(out)]) == 0
 
+    def test_manifest_with_array_flag_exit_2(self, tmp_path, logits_file, capsys):
+        other = tmp_path / "other.npy"
+        write_array(other, np.zeros((4, 3)))
+        mf = tmp_path / "m.manifest"
+        mf.write_text(f"target_logits = {logits_file}\n")
+        out = tmp_path / "r.json"
+        code = main(["predict", "--manifest", str(mf), "--logits", str(other),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--manifest" in err and "target_logits" in err
+        assert not out.exists()
+
+    def test_repeated_manifest_key_exit_2(self, tmp_path, logits_file, capsys):
+        mf = tmp_path / "m.manifest"
+        mf.write_text(f"target_logits = {logits_file}\ntarget_logits = {logits_file}\n")
+        code = main(["predict", "--manifest", str(mf), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{mf}:2: manifest key 'target_logits' repeats line 1" in capsys.readouterr().err
+
+    def test_bias_of_another_shape_exit_2(self, tmp_path, capsys):
+        z, bias = tmp_path / "z.npy", tmp_path / "b.npy"
+        write_array(z, np.random.default_rng(5).normal(size=(6, 4)))
+        write_array(bias, np.zeros((2, 2)))
+        code = main(["predict", "--logits", str(z), "--bias", str(bias),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "last_layer_bias" in err and "(2, 2)" in err
+
     def test_unknown_flag_is_hard_error(self, logits_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--logits", str(logits_file),
@@ -178,6 +208,13 @@ def small_suite_file(tmp_path):
     p = tmp_path / "suite.json"
     p.write_text(json.dumps(docs))
     return p
+
+
+def one_record_suite_file(tmp_path, name):
+    """The first record of `small_suite_file`, renamed to `name`."""
+    suite = small_suite_file(tmp_path)
+    suite.write_text(json.dumps([dict(json.loads(suite.read_text())[0], name=name)]))
+    return suite
 
 
 class TestBench:
@@ -338,6 +375,28 @@ class TestBench:
         err = capsys.readouterr().err
         assert "record 1" in err and named in err and str(bench.MAX_SPLIT_FLOATS) in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ['"q', 'a"b', "a\tb", "a\x00b", "a\x1fb", "a\ud800b"])
+    def test_name_the_tables_cannot_hold_exit_2(self, tmp_path, capsys, name):
+        suite = one_record_suite_file(tmp_path, name)
+        code = main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", "ac", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 0" in err and "'name'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["a\\b", "ré\\sumé", "\\u0041"])
+    def test_name_round_trips_through_both_tables(self, tmp_path, capsys, name):
+        suite = one_record_suite_file(tmp_path, name)
+        out = tmp_path / "o"
+        assert main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", "ac", "--out", str(out)]) == 0
+        doc = json.loads((out / "mae_table.json").read_text("utf-8"))
+        assert doc["scenarios"][0]["name"] == name
+        assert list(doc["per_scenario_ae"]["ac"]) == [name]
+        rows = (out / "mae_table.csv").read_text("utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [name]
 
     def test_split_at_the_cap_accepted(self):
         doc = bench.scenario_to_dict(bench.default_suite(0)[0])

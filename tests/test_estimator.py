@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sfpp.calibrator import fit, log_posterior_matrix, posterior_matrix
 from sfpp.errors import DegenerateInputError
@@ -261,3 +263,22 @@ class TestSymmetries:
         a = predict_accuracy(DatasetBundle(target_logits=z, class_count=c))
         b = predict_accuracy(DatasetBundle(target_logits=z[perm], class_count=c))
         np.testing.assert_array_equal(b.per_sample_correct, a.per_sample_correct[perm])
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 32), k=st.floats(-1e3, 1e3))
+    @settings(max_examples=30, deadline=None)
+    def test_global_logit_shift_keeps_posteriors_and_verdicts(self, seed, c, k):
+        rng = np.random.default_rng(seed)
+        n = 20 * c
+        z = rng.normal(size=(n, c))
+        z[np.arange(n), np.arange(n) % c] += 3.0
+        assume(np.unique(np.argmax(z, axis=1)).size == c)  # every class wins an argmax
+        shifted = z + k
+        np.testing.assert_allclose(posterior_matrix(fit(shifted), shifted),
+                                   posterior_matrix(fit(z), z), rtol=0, atol=1e-9)
+        a = predict_accuracy(DatasetBundle(target_logits=z, class_count=c))
+        b = predict_accuracy(DatasetBundle(target_logits=shifted, class_count=c))
+        near_tie = np.zeros(n, dtype=bool)
+        for pairs in (a.grad_norm_pairs, b.grad_norm_pairs):
+            near_tie |= np.abs(pairs[:, 0] - pairs[:, 1]) <= 1e-9 * pairs[:, 1].max()
+        np.testing.assert_array_equal(b.per_sample_correct[~near_tie],
+                                      a.per_sample_correct[~near_tie])

@@ -9,6 +9,7 @@ from sfpp.ingest import (
     read_manifest,
     _fmt_json,
     report_to_json,
+    to_json_text,
     write_array,
     write_report,
 )
@@ -219,6 +220,25 @@ class TestLoadBundle:
         with pytest.raises(BundleValidationError, match="unknown manifest key"):
             read_manifest(mf)
 
+    def test_manifest_repeated_key_names_both_lines(self, tmp_path):
+        mf = tmp_path / "bundle.manifest"
+        mf.write_text("target_logits = a.npy\n# comment\ntarget_logits = b.npy\n")
+        with pytest.raises(BundleValidationError) as info:
+            read_manifest(mf)
+        assert str(info.value) == f"{mf}:3: manifest key 'target_logits' repeats line 1"
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1)])
+    def test_bias_vector_row_or_column_accepted(self, shape):
+        bias = np.arange(4.0).reshape(shape)
+        b = load_bundle({"target_logits": np.zeros((3, 4)), "last_layer_bias": bias})
+        np.testing.assert_array_equal(b.last_layer_bias, np.arange(4.0))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4), (1, 1), (3,), ()])
+    def test_bias_of_another_shape_rejected(self, shape):
+        with pytest.raises(BundleValidationError) as info:
+            load_bundle({"target_logits": np.zeros((3, 4)), "last_layer_bias": np.zeros(shape)})
+        assert "last_layer_bias" in str(info.value) and f"got shape {shape}" in str(info.value)
+
 
 class TestReports:
     def make_report(self):
@@ -307,6 +327,17 @@ class TestReports:
                            grad_norm_pairs=pairs)
         with pytest.raises(ValueError, match=f"non-finite real: {bad}"):
             report_to_json(r)
+
+    @pytest.mark.parametrize("text", ["a\tb", '"q', "a\\b", "a\bb", "\x00\x1f\n\r", "é€"])
+    def test_keys_and_values_escaped(self, text):
+        import json
+
+        rendered = to_json_text({text: text, "nested": {text: [text]}})
+        assert json.loads(rendered) == {text: text, "nested": {text: [text]}}
+        assert not any(ch < " " for ch in rendered.replace("\n", ""))
+
+    def test_control_characters_as_unicode_escapes(self):
+        assert to_json_text({"a\tb": "\x1f"}) == '{\n  "a\\u0009b": "\\u001f"\n}\n'
 
 
 class TestNpyReader:
