@@ -97,6 +97,10 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     the other classes' Gaussians, so isolated clusters weigh more. Past
     ``normalize_threshold`` classes the inverse covariance is rescaled to
     unit Frobenius norm to keep the quadratic forms tame.
+
+    The one C x C product against Sigma^-1, A = s Sigma^-1 (M - c)^T, gives
+    the priors' scaled Mahalanobis cross terms as (M - c) @ A and is handed
+    to the model as its ``weights``, so the posteriors do not form it again.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -104,6 +108,10 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     n, c = logits.shape
     if n < 2:
         raise DegenerateInputError(f"fit needs at least 2 rows, got {n}")
+    if c < 2:
+        raise DegenerateInputError(
+            f"fit needs at least 2 classes, got logits of shape {logits.shape}"
+        )
 
     # bincount adds rows in index order, as mean(axis=0) does, and copies none
     labels = pseudo_labels(logits)
@@ -120,26 +128,31 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     if c > config.normalize_threshold:
         sigma_inv_scale = 1.0 / float(np.linalg.norm(factor.inverse))
 
-    # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma), with the squared
-    # Mahalanobis distances expanded as q_i + q_j - 2 mu_i^T Sigma^-1 mu_j
+    # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma), with the scaled
+    # squared Mahalanobis distances expanded as q_i + q_j - 2 mu_i^T A_j
     # about the mean of the means.
-    centered = means - means.mean(axis=0)
-    cross = centered @ (factor.inverse @ centered.T)
+    center = means.mean(axis=0)
+    centered = means - center
+    weights = sigma_inv_scale * (factor.inverse @ centered.T)
+    cross = centered @ weights
     q = np.diag(cross)
     d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
-    pair_logs = -0.5 * (factor.log_det + c * numerics.LN_2PI + sigma_inv_scale * d2)
+    pair_logs = -0.5 * (factor.log_det + c * numerics.LN_2PI + d2)
     np.fill_diagonal(pair_logs, -np.inf)
     log_priors = -numerics.logsumexp(pair_logs, axis=1)
     if np.any(np.isnan(log_priors)):
         raise NumericalError("NaN while estimating class priors")
 
-    return GaussianModel(
+    model = GaussianModel(
         means=means,
         log_priors=log_priors,
         covariance_factor=factor,
         represented=represented,
         sigma_inv_scale=sigma_inv_scale,
     )
+    # Fill the cached properties with the values they would derive.
+    model.__dict__.update(center=center, weights=weights)
+    return model
 
 
 def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
@@ -155,13 +168,14 @@ def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.nda
         raise DegenerateInputError("logit rows contain non-finite entries")
     if mode not in MODES:
         raise DegenerateInputError(f"mode must be one of {MODES}, got {mode!r}")
-    scores = (x - model.center) @ model.weights + model.offsets
+    scores = (x - model.center) @ model.weights
+    scores += model.offsets
     if np.any(np.isnan(scores)):
         raise NumericalError("NaN in intermediate discriminant scores")
-    out = scores - numerics.logsumexp(scores, axis=1)[:, None]
-    if np.any(np.isnan(out)):
+    scores -= numerics.logsumexp(scores, axis=1)[:, None]
+    if np.any(np.isnan(scores)):
         raise NumericalError("NaN in normalized log posteriors")
-    return out
+    return scores
 
 
 def log_posterior(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
@@ -171,5 +185,7 @@ def log_posterior(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
 
 def posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
     """exp of the log posteriors, renormalized so each row sums to exactly 1."""
-    p = np.exp(log_posterior_matrix(model, x, mode))
-    return p / p.sum(axis=1, keepdims=True)
+    p = log_posterior_matrix(model, x, mode)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p

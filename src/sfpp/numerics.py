@@ -1,7 +1,7 @@
 """Deterministic dense linear-algebra and log-domain kernels.
 
 Every function here is pure, and all linear algebra goes through
-``numpy.linalg`` and numpy's own BLAS. ``row_blocks`` is the one block
+``numpy.linalg`` and numpy's own BLAS. ``row_blocks`` is the one row-block
 rule: the covariance and every per-row pass over an n x C matrix walk its
 blocks in index order, so results do not depend on input chunking;
 ``sfpp bench`` writes the same bytes for any ``SFPP_THREADS`` (acceptance
@@ -25,6 +25,9 @@ LN_2PI = math.log(2.0 * math.pi)
 _BLOCK_FLOATS = 2 ** 18
 _MIN_BLOCK_ROWS = 2048
 
+# invert_lower hands triangular blocks of at most this order to np.linalg.inv.
+_INVERSE_LEAF = 64
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -40,9 +43,36 @@ class CholeskyFactor:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """The inverse of the regularized matrix as L^-T L^-1, exactly symmetric."""
-        inv_lower = np.linalg.inv(self.lower)
+        """The inverse of the regularized matrix as X^T X, X = L^-1.
+
+        X comes from ``invert_lower``: 2 x 2 block recursion onto matrix
+        products, with diagonal leaves of order 64 or less inverted by
+        ``np.linalg.inv``. numpy forms ``X.T @ X`` as one symmetric product,
+        so the result is exactly symmetric.
+        """
+        inv_lower = invert_lower(self.lower)
         return inv_lower.T @ inv_lower
+
+
+def invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 block recursion.
+
+    With L = [[L11, 0], [L21, L22]] the inverse is [[X11, 0], [X21, X22]],
+    where X11 and X22 invert the diagonal blocks and X21 = -X22 @ L21 @ X11,
+    so the work above the leaves is GEMMs (LAPACK trtri's scheme; Du Croz &
+    Higham 1992). Blocks of order 64 or less go to ``np.linalg.inv``, whose
+    pivoted LU leaves rounding residue above the diagonal; it is cut away,
+    so the strict upper triangle of the result is exactly zero.
+    """
+    d = lower.shape[0]
+    if d <= _INVERSE_LEAF:
+        return np.tril(np.linalg.inv(lower))
+    h = d // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = inv_11 = invert_lower(lower[:h, :h])
+    out[h:, h:] = inv_22 = invert_lower(lower[h:, h:])
+    out[h:, :h] = -(inv_22 @ lower[h:, :h]) @ inv_11
+    return out
 
 
 def row_blocks(n: int, class_count: int):

@@ -13,10 +13,10 @@ from sfpp.calibrator import (
     posterior_matrix,
     pseudo_labels,
 )
-from sfpp.errors import DegenerateInputError
+from sfpp.errors import DegenerateInputError, NumericalError
 from sfpp.estimator import predict_accuracy
 from sfpp.ingest import DatasetBundle
-from sfpp.numerics import cholesky_with_jitter
+from sfpp.numerics import LN_2PI, cholesky_with_jitter, logsumexp
 
 
 # ---------------------------------------------------------------- fixtures
@@ -184,6 +184,10 @@ class TestFit:
         with pytest.raises(DegenerateInputError):
             fit(np.array([[1.0, 2.0]]))
 
+    def test_single_class_rejected_naming_the_shape(self):
+        with pytest.raises(DegenerateInputError, match=r"2 classes.*\(10, 1\)"):
+            fit(np.arange(10.0).reshape(10, 1))
+
 
 # ----------------------------------------------------------- log_posterior
 
@@ -324,3 +328,84 @@ class TestLinearFormMatchesWhitenedForm:
         np.testing.assert_allclose(report.grad_norm_pairs[:, 0], pl, rtol=0, atol=tol)
         np.testing.assert_allclose(report.grad_norm_pairs[:, 1], uniform, rtol=0, atol=tol)
         np.testing.assert_array_equal(report.per_sample_correct, (pl < uniform).astype(np.int8))
+
+
+# ------------------------------------------- one Sigma^-1 product per fit
+
+def separate_product_log_priors(model):
+    """The priors with Sigma^-1 (M - c)^T formed on its own and s applied last."""
+    c = model.class_count
+    centered = model.means - model.means.mean(axis=0)
+    cross = centered @ (model.covariance_factor.inverse @ centered.T)
+    q = np.diag(cross)
+    d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
+    pair_logs = -0.5 * (model.covariance_factor.log_det + c * LN_2PI
+                        + model.sigma_inv_scale * d2)
+    np.fill_diagonal(pair_logs, -np.inf)
+    return -logsumexp(pair_logs, axis=1)
+
+
+def rebuilt(model):
+    """A GaussianModel built by hand from the fitted model's fields."""
+    return GaussianModel(
+        means=model.means,
+        log_priors=model.log_priors,
+        covariance_factor=model.covariance_factor,
+        represented=model.represented,
+        sigma_inv_scale=model.sigma_inv_scale,
+    )
+
+
+class TestSharedProduct:
+    @pytest.mark.parametrize("c, seed", [(3, 401), (20, 409), (32, 419)])
+    def test_bit_identical_when_unscaled(self, c, seed):
+        model = fit(wide_head(np.random.default_rng(seed), c, 8))
+        assert model.sigma_inv_scale == 1.0
+        hand = rebuilt(model)
+        np.testing.assert_array_equal(hand.weights, model.weights)
+        np.testing.assert_array_equal(hand.offsets, model.offsets)
+        np.testing.assert_array_equal(model.log_priors, separate_product_log_priors(model))
+
+    @pytest.mark.parametrize("c, seed", [(40, 421), (300, 431)])
+    def test_within_1e_12_when_scaled(self, c, seed):
+        model = fit(wide_head(np.random.default_rng(seed), c, 2.5))
+        assert model.sigma_inv_scale != 1.0
+        hand = rebuilt(model)
+        for got, want in ((model.weights, hand.weights), (model.offsets, hand.offsets),
+                          (model.log_priors, separate_product_log_priors(model))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --------------------------------------------------- in-place posteriors
+
+class TestInPlacePosterior:
+    @pytest.mark.parametrize("c, seed", [(3, 433), (40, 439), (300, 443)])
+    def test_bit_identical_to_out_of_place(self, c, seed):
+        z = wide_head(np.random.default_rng(seed), c, 2.5)
+        model = fit(z)
+        scores = (z - model.center) @ model.weights + model.offsets
+        log_p = scores - logsumexp(scores, axis=1)[:, None]
+        p = np.exp(log_p)
+        p = p / p.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(log_posterior_matrix(model, z), log_p)
+        np.testing.assert_array_equal(posterior_matrix(model, z), p)
+
+    def test_nan_logits_rejected(self):
+        model = random_model(np.random.default_rng(449), 4)
+        x = np.zeros((2, 4))
+        x[1, 2] = np.nan
+        with pytest.raises(DegenerateInputError) as err:
+            posterior_matrix(model, x)
+        assert str(err.value) == "logit rows contain non-finite entries"
+
+    def test_nan_scores_rejected(self):
+        model = make_model(np.eye(3), np.eye(3), log_priors=[0.0, np.nan, 0.0])
+        with pytest.raises(NumericalError) as err:
+            posterior_matrix(model, np.ones((2, 3)))
+        assert str(err.value) == "NaN in intermediate discriminant scores"
+
+    def test_empty_rows_rejected(self):
+        model = make_model(np.eye(3), np.eye(3), log_priors=[-np.inf] * 3)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as err:
+            posterior_matrix(model, np.ones((2, 3)))
+        assert str(err.value) == "NaN in normalized log posteriors"

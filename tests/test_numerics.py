@@ -10,6 +10,7 @@ from sfpp.errors import DegenerateInputError, SingularMatrixError
 from sfpp.numerics import (
     cholesky_with_jitter,
     covariance,
+    invert_lower,
     logsumexp,
     nuclear_norm,
     row_blocks,
@@ -169,6 +170,34 @@ class TestCholeskyInverse:
             f = cholesky_with_jitter(a, 0.0)
             got = f.inverse @ (a @ x)
             assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-9
+
+
+class TestBlockInverse:
+    """64 is one leaf; 65 and 129 split once and twice; 300 and 1000 recurse deeper."""
+
+    @staticmethod
+    def factor(d):
+        # Unequal column scales make np.linalg.inv pivot, leaving residue
+        # above the diagonal of its triangular inverse.
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(2 * d, d)) * np.exp(rng.normal(size=d))
+        return cholesky_with_jitter(covariance(x), 1e-6)
+
+    @pytest.mark.parametrize("d", [64, 65, 129, 300, 1000])
+    def test_inverse_residual_and_symmetry(self, d):
+        f = self.factor(d)
+        inv = f.inverse
+        reg = f.lower @ f.lower.T
+        assert np.linalg.norm(reg @ inv - np.eye(d)) / math.sqrt(d) < 1e-10
+        np.testing.assert_array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("d", [64, 65, 129, 300, 1000])
+    def test_triangular_inverse_matches_lu_inverse(self, d):
+        lower = self.factor(d).lower
+        got = invert_lower(lower)
+        assert not np.any(np.triu(got, 1))
+        want = np.linalg.inv(lower)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # -------------------------------------------------------------- logsumexp
