@@ -1,13 +1,14 @@
 """Reference accuracy estimators sharing the bundle/report contract.
 
 Source-free: average confidence (ac), nuclear norm of the prediction
-matrix (nuclear), and the gradient-norm rule on plain temperature-scaled
-softmax (gradnorm). Source-based: validation-threshold counting (atc-*),
-difference of confidences (doc), and optimal transport from the predicted
-class probabilities to the validation label distribution (cot). cot's
-entropic transport cost is solved by damped Newton steps on the semi-dual
-in the class potentials, started cold on every call, so every estimator
-here is a pure function of its inputs.
+matrix (nuclear), and gradnorm, which is ``estimator.gradient_norms`` and
+``estimator.is_correct``, the rule calibrated-gradnorm uses, run on plain
+temperature-scaled softmax with no head. Source-based: validation-threshold
+counting (atc-*), difference of confidences (doc), and optimal transport
+from the predicted class probabilities to the validation label
+distribution (cot). cot's entropic transport cost is solved by damped
+Newton steps on the semi-dual in the class potentials, started cold on
+every call, so every estimator here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import estimator, numerics
 from .errors import ConvergenceError, DegenerateInputError, MissingValidationDataError
 from .ingest import DatasetBundle, EstimateReport
 
@@ -46,11 +47,22 @@ def _check_temperature(name: str, value: float) -> None:
         raise DegenerateInputError(f"{name} must be finite and > 0, got {value}")
 
 
+def _scaled(logits, name: str, temperature: float):
+    """logits / temperature and its row maxima; a non-finite maximum means
+    the division overflowed, and raises DegenerateInputError naming `name`."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(logits, dtype=np.float64) / temperature
+    top = z.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise DegenerateInputError(f"{name} {temperature!r} overflows logits / {name}")
+    return z, top
+
+
 def softmax(logits, temperature: float = 1.0) -> SoftmaxOutput:
     """Row-stable softmax of logits / temperature, formed in one new array."""
     _check_temperature("temperature", temperature)
-    p = np.asarray(logits, dtype=np.float64) / temperature
-    p -= p.max(axis=1, keepdims=True)
+    p, top = _scaled(logits, "temperature", temperature)
+    p -= top
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return SoftmaxOutput(probabilities=p, temperature=temperature)
@@ -111,28 +123,18 @@ def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
 
 
 def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> EstimateReport:
-    """Gradient-norm rule on plain softmax: g = s - target in logit space."""
+    """The shared gradient-norm rule on plain softmax: g = s - target in logit space."""
     t0 = time.perf_counter()
-    z = bundle.target_logits
-    n, c = z.shape
-    norm_pl = np.empty(n)
-    norm_u = np.empty(n)
-    for rows in numerics.row_blocks(n, c):
-        g = softmax(z[rows], temperature).probabilities
-        g_u = g - 1.0 / c
-        norm_u[rows] = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
-        g[np.arange(g.shape[0]), np.argmax(g, axis=1)] -= 1.0
-        norm_pl[rows] = np.sqrt(np.einsum("nc,nc->n", g, g))
-    if bundle.target_features is not None:
-        feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)
-        factor = np.sqrt(feat_sq + 1.0)
-        norm_pl *= factor
-        norm_u *= factor
-    correct = norm_pl < norm_u
+    n = bundle.n_target
+    _, pairs = estimator.gradient_norms(
+        bundle.target_logits, lambda rows: softmax(rows, temperature).probabilities,
+        features=bundle.target_features,
+    )
+    correct = estimator.is_correct(pairs[:, 0], pairs[:, 1])
     return _report(
         "gradnorm", np.count_nonzero(correct) / n, n,
         correct=correct.astype(np.int8),
-        pairs=np.column_stack([norm_pl, norm_u]),
+        pairs=pairs,
         config={"temperature": float(temperature)},
         t0=t0, seed=seed,
     )
@@ -149,7 +151,7 @@ def _block_scores(logits: np.ndarray, score: str, energy_temperature: float) -> 
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
         return terms.sum(axis=1)
     t = energy_temperature
-    return t * numerics.logsumexp(logits / t, axis=1)
+    return t * numerics.logsumexp(_scaled(logits, "energy_temperature", t)[0], axis=1)
 
 
 def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:

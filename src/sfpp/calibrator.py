@@ -98,9 +98,9 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     ``normalize_threshold`` classes the inverse covariance is rescaled to
     unit Frobenius norm to keep the quadratic forms tame.
 
-    The one C x C product against Sigma^-1, A = s Sigma^-1 (M - c)^T, gives
-    the priors' scaled Mahalanobis cross terms as (M - c) @ A and is handed
-    to the model as its ``weights``, so the posteriors do not form it again.
+    The one C x C product against Sigma^-1 is the model's ``weights``,
+    A = s Sigma^-1 (M - c)^T: the priors' scaled Mahalanobis cross terms are
+    (M - c) @ A, and the posteriors reuse the same cached A.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -128,30 +128,24 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     if c > config.normalize_threshold:
         sigma_inv_scale = 1.0 / float(np.linalg.norm(factor.inverse))
 
+    # The priors come from the model's own A, so its log_priors array is
+    # filled in place once it is built; only ``offsets`` reads them, later.
+    log_priors = np.empty(c)
+    model = GaussianModel(means=means, log_priors=log_priors, covariance_factor=factor,
+                          represented=represented, sigma_inv_scale=sigma_inv_scale)
     # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma), with the scaled
     # squared Mahalanobis distances expanded as q_i + q_j - 2 mu_i^T A_j
-    # about the mean of the means.
-    center = means.mean(axis=0)
-    centered = means - center
-    weights = sigma_inv_scale * (factor.inverse @ centered.T)
-    cross = centered @ weights
+    # about the mean of the means. A is formed first, so that no other C x C
+    # temporary is alive while it is.
+    weights = model.weights
+    cross = (means - model.center) @ weights
     q = np.diag(cross)
     d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
     pair_logs = -0.5 * (factor.log_det + c * numerics.LN_2PI + d2)
     np.fill_diagonal(pair_logs, -np.inf)
-    log_priors = -numerics.logsumexp(pair_logs, axis=1)
+    np.negative(numerics.logsumexp(pair_logs, axis=1), out=log_priors)
     if np.any(np.isnan(log_priors)):
         raise NumericalError("NaN while estimating class priors")
-
-    model = GaussianModel(
-        means=means,
-        log_priors=log_priors,
-        covariance_factor=factor,
-        represented=represented,
-        sigma_inv_scale=sigma_inv_scale,
-    )
-    # Fill the cached properties with the values they would derive.
-    model.__dict__.update(center=center, weights=weights)
     return model
 
 

@@ -119,12 +119,14 @@ def cmd_dump_calibration(args) -> int:
 
 
 def _add_calibration_flags(p):
-    p.add_argument("--mode", choices=calibrator.MODES, default="bayes",
-                   help="posterior mode (default bayes); literal is an alias of bayes, "
+    default = calibrator.CalibratorConfig()
+    p.add_argument("--mode", choices=calibrator.MODES, default=default.mode,
+                   help="posterior mode (default %(default)s); literal is an alias of bayes, "
                         "kept for compatibility")
-    p.add_argument("--cov-jitter", type=float, default=1e-6, dest="cov_jitter",
+    p.add_argument("--cov-jitter", type=float, default=default.cov_jitter, dest="cov_jitter",
                    help="base diagonal regularization for the shared covariance")
-    p.add_argument("--normalize-threshold", type=int, default=32, dest="normalize_threshold",
+    p.add_argument("--normalize-threshold", type=int, default=default.normalize_threshold,
+                   dest="normalize_threshold",
                    help="class count above which the inverse covariance is norm-scaled")
 
 

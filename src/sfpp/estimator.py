@@ -4,6 +4,9 @@ A sample counts as correctly predicted when the cross-entropy gradient
 toward its own pseudo-label is smaller (in last-layer norm) than the
 gradient toward the uniform distribution. The predicted accuracy is the
 fraction of samples passing that test.
+
+``gradient_norms`` and ``is_correct`` hold that rule once; the ``gradnorm``
+baseline runs them on plain softmax, which is the rule with an identity head.
 """
 
 from __future__ import annotations
@@ -53,43 +56,62 @@ def grad_wrt_logits(model: GaussianModel, x, target, mode: str = "bayes") -> np.
     return (s - target) @ model.weights.T
 
 
-def _norm_pairs(model: GaussianModel, rows: np.ndarray, mode: str):
-    """Pseudo-labels and logit-space gradient norms toward them and toward uniform.
+def gradient_norms(logits, posterior, weights=None, features=None):
+    """Pseudo-labels, and (n, 2) gradient norms toward them and toward uniform.
 
-    One posterior per row; the pseudo-label is its argmax, and each
-    gradient is that target's residual times A^T.
+    Per ``numerics.row_blocks`` block, ``posterior`` maps the logit rows to
+    probability rows s; the pseudo-label is their argmax, and each gradient
+    is s minus its target, times ``weights.T`` when weights are given.
+    Feature rows f scale both norms by sqrt(||f||^2 + 1), the Frobenius
+    factor of the rank-1 last-layer gradient.
     """
-    s = calibrator.posterior_matrix(model, rows, mode)
-    pl = np.argmax(s, axis=1)
-    g_u = (s - 1.0 / model.class_count) @ model.weights.T
-    norm_u = np.sqrt(np.einsum("nc,nc->n", g_u, g_u))
-    s[np.arange(pl.size), pl] -= 1.0
-    g_pl = s @ model.weights.T
-    return pl, np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl)), norm_u
+    def norms(residual):
+        g = residual if weights is None else residual @ weights.T
+        return np.sqrt(np.einsum("nc,nc->n", g, g))
+
+    n, c = logits.shape
+    pl = np.empty(n, dtype=np.intp)
+    pairs = np.empty((n, 2))
+    for rows in numerics.row_blocks(n, c):
+        s = posterior(logits[rows])
+        pl[rows] = np.argmax(s, axis=1)
+        pairs[rows, 1] = norms(s - 1.0 / c)
+        s[np.arange(s.shape[0]), pl[rows]] -= 1.0
+        pairs[rows, 0] = norms(s)
+        del s  # so the next block's posterior is formed without this one
+    if features is not None:
+        pairs *= np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)[:, None]
+    return pl, pairs
+
+
+def is_correct(norm_pl, norm_uniform, eq5_literal: bool = False):
+    """The verdict: the pseudo-label norm is strictly smaller; ties lose.
+    ``eq5_literal`` flips the comparison."""
+    return (norm_uniform < norm_pl) if eq5_literal else (norm_pl < norm_uniform)
 
 
 def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
                    mode: str = "bayes") -> tuple[float, float]:
     """Last-layer gradient norms toward the pseudo-label and toward uniform.
 
-    With a feature norm available the rank-1 structure of the last-layer
-    gradient gives a Frobenius norm of ||g|| * sqrt(feature_norm^2 + 1);
-    without one the logit-space norm is reported. Either way the PL-vs-
-    uniform comparison is unchanged, as the factor multiplies both sides.
+    With a feature norm the norms carry the factor sqrt(feature_norm^2 + 1);
+    without one they are logit-space norms. The factor multiplies both
+    sides, so the verdict is the same either way.
     """
     if feature_norm is not None and not feature_norm > 0.0:
         raise DegenerateInputError(f"feature_norm must be positive, got {feature_norm}")
-    _, norm_pl, norm_u = _norm_pairs(model, np.asarray(x, dtype=np.float64)[None, :], mode)
-    factor = float(np.sqrt(feature_norm * feature_norm + 1.0)) if feature_norm is not None else 1.0
-    return float(norm_pl[0] * factor), float(norm_u[0] * factor)
+    features = None if feature_norm is None else np.array([[feature_norm]], dtype=np.float64)
+    _, pairs = gradient_norms(np.asarray(x, dtype=np.float64)[None, :],
+                              lambda rows: calibrator.posterior_matrix(model, rows, mode),
+                              model.weights, features)
+    return float(pairs[0, 0]), float(pairs[0, 1])
 
 
 def judge(pair: tuple[float, float], sample_index: int = 0, eq5_literal: bool = False) -> Verdict:
-    """Correct iff the pseudo-label gradient norm is strictly smaller; ties lose."""
+    """Verdict on one (pseudo-label, uniform) norm pair, by ``is_correct``."""
     pl, uniform = float(pair[0]), float(pair[1])
-    correct = (uniform < pl) if eq5_literal else (pl < uniform)
-    return Verdict(sample_index=sample_index, grad_norm_pl=pl,
-                   grad_norm_uniform=uniform, correct=correct)
+    return Verdict(sample_index=sample_index, grad_norm_pl=pl, grad_norm_uniform=uniform,
+                   correct=is_correct(pl, uniform, eq5_literal))
 
 
 def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorConfig(),
@@ -97,23 +119,13 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     """Calibrate the bundle, judge every sample, and aggregate to an accuracy."""
     t0 = time.perf_counter()
     z = bundle.target_logits
-    n, c = z.shape
+    n = z.shape[0]
     model = calibrator.fit(z, config)
-
-    # One row block at a time: no n x C array is formed beyond the input.
-    pl_idx = np.empty(n, dtype=np.intp)
-    norm_pl = np.empty(n)
-    norm_u = np.empty(n)
-    for rows in numerics.row_blocks(n, c):
-        pl_idx[rows], norm_pl[rows], norm_u[rows] = _norm_pairs(model, z[rows], config.mode)
-
-    if bundle.target_features is not None:
-        feat_sq = np.einsum("nd,nd->n", bundle.target_features, bundle.target_features)
-        factor = np.sqrt(feat_sq + 1.0)
-        norm_pl *= factor
-        norm_u *= factor
-
-    correct = (norm_u < norm_pl) if config.eq5_literal else (norm_pl < norm_u)
+    pl_idx, pairs = gradient_norms(
+        z, lambda rows: calibrator.posterior_matrix(model, rows, config.mode),
+        model.weights, bundle.target_features,
+    )
+    correct = is_correct(pairs[:, 0], pairs[:, 1], config.eq5_literal)
     echo = asdict(config)
     echo["pl_vs_raw_argmax_disagreements"] = int(np.sum(pl_idx != np.argmax(z, axis=1)))
     return EstimateReport(
@@ -121,7 +133,7 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
         predicted_accuracy=float(np.count_nonzero(correct)) / n,
         n_samples=n,
         per_sample_correct=correct.astype(np.int8),
-        grad_norm_pairs=np.column_stack([norm_pl, norm_u]),
+        grad_norm_pairs=pairs,
         config_echo=echo,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         seed=seed,

@@ -121,7 +121,9 @@ def _read_npy(path: Path) -> np.ndarray:
 
 
 def _read_csv(path: Path) -> np.ndarray:
-    lines = [ln for ln in path.read_text("utf-8").splitlines() if ln.strip()]
+    """Rows of comma-separated reals after an optional header line, which must
+    be as wide as the rows; a UTF-8 byte order mark is dropped."""
+    lines = [ln for ln in path.read_text("utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise ArrayFormatError(f"{path}: empty CSV")
 
@@ -148,6 +150,8 @@ def _read_csv(path: Path) -> np.ndarray:
             rows.append([float(t) for t in toks])
         except ValueError as exc:
             raise ArrayFormatError(f"{path}: non-numeric CSV value: {exc}") from exc
+    if start and len(first) != width:
+        raise ArrayFormatError(f"{path}: ragged CSV, header width {len(first)} vs row width {width}")
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -102,6 +102,19 @@ class TestMultiBlock:
         np.testing.assert_array_equal(report.per_sample_correct, correct.astype(np.int8))
         np.testing.assert_allclose(report.grad_norm_pairs, pairs, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("features", [False, True])
+    def test_predict_report_bytes(self, features):
+        bundle = head(np.random.default_rng(11), MULTI_N, MULTI_C, features)
+        report = estimator.predict_accuracy(bundle)
+        assert same_report_bytes(report, *whole_matrix_predict(bundle))
+
+    @pytest.mark.parametrize("features", [False, True])
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    def test_gradnorm_report_bytes(self, features, temperature):
+        bundle = head(np.random.default_rng(13), MULTI_N, MULTI_C, features)
+        report = baselines.gradnorm(bundle, temperature)
+        assert same_report_bytes(report, *whole_matrix_gradnorm(bundle, temperature))
+
     def test_confidence_scores_match_whole_matrix(self):
         bundle = head(np.random.default_rng(17), MULTI_N, MULTI_C)
         z = bundle.target_logits
@@ -187,6 +200,20 @@ class TestPeakMemory:
             lambda: baselines.run_baseline(method, tall))
         peak = self.peak_bytes(run)
         assert peak < 0.5 * tall.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("with_head, blocks", [(False, 2.5), (True, 3.5)])
+    def test_gradient_norms_hold_one_block_at_a_time(self, tall, with_head, blocks):
+        """Beyond its outputs, gradient_norms holds the posterior rows, one
+        residual and (with a head) its product: one block's arrays, none kept
+        into the next block."""
+        z = tall.target_logits
+        n, c = z.shape
+        rows = next(numerics.row_blocks(n, c))
+        weights = np.eye(c) if with_head else None
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: baselines.softmax(block).probabilities, weights))
+        outputs = n * np.dtype(np.intp).itemsize + 2 * n * 8
+        assert peak - outputs < blocks * (rows.stop - rows.start) * c * 8
 
     @pytest.mark.parametrize("method", ["fit", "predict"])
     def test_skewed_head_peak_below_half_an_array(self, skewed, method):

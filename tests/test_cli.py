@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sfpp
-from sfpp import baselines, bench
-from sfpp.cli import main
+from sfpp import baselines, bench, calibrator, estimator
+from sfpp.cli import _config_from_args, build_parser, main
 from sfpp.ingest import write_array
 
 
@@ -192,6 +193,32 @@ class TestNumericFlags:
             argv += ["--val-logits", str(val_files[0]), "--val-labels", str(val_files[1])]
         assert main(argv) == 2
         assert f"{named} must be finite" in capsys.readouterr().err
+
+
+class TestOverflowingTemperature:
+    @pytest.mark.parametrize("method, flag, named", [
+        ("gradnorm", "--temperature", "temperature"),
+        ("atc-energy", "--energy-temperature", "energy_temperature"),
+    ])
+    def test_named_exit_2(self, tmp_path, logits_file, val_files, capsys, method, flag, named):
+        argv = ["baseline", "--method", method, flag, "1e-320", "--logits", str(logits_file),
+                "--val-logits", str(val_files[0]), "--val-labels", str(val_files[1]),
+                "--out", str(tmp_path / "out.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert f"error: {named} 1e-320 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestCalibrationDefaults:
+    @pytest.mark.parametrize("command, config", [
+        ("predict", estimator.EstimatorConfig),
+        ("dump-calibration", calibrator.CalibratorConfig),
+    ])
+    def test_parsed_defaults_build_the_default_config(self, command, config):
+        args = build_parser().parse_args([command, "--out", "unused"])
+        assert _config_from_args(config, args) == config()
 
 
 def small_suite_file(tmp_path):

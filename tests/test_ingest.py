@@ -42,6 +42,22 @@ class TestReadWriteArray:
         p.write_text("c0,c1\n1,2\n")
         np.testing.assert_array_equal(read_array(p), [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("text, want", [
+        (b"1,2,3\n4,5,6\n7,8,9\n", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        (b"c0,c1\n1,2\n", [[1, 2]]),
+    ], ids=["rows", "header"])
+    def test_csv_byte_order_mark_dropped(self, tmp_path, text, want):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text)
+        np.testing.assert_array_equal(read_array(p), want)
+
+    @pytest.mark.parametrize("text", ["a,b,c\n1,2\n", "a\n1,2\n3,4\n"], ids=["wider", "narrower"])
+    def test_csv_header_of_another_width_is_ragged(self, tmp_path, text):
+        p = tmp_path / "h.csv"
+        p.write_text(text)
+        with pytest.raises(ArrayFormatError, match="ragged CSV, header width"):
+            read_array(p)
+
     def test_roundtrip_random_matrix_bitwise(self, tmp_path):
         rng = np.random.default_rng(41)
         a = rng.normal(size=(1000, 62))
