@@ -29,8 +29,8 @@ ATC_SCORES = tuple(ATC_METHODS.values())
 SOURCE_FREE_METHODS = ("ac", "nuclear", "gradnorm")
 SOURCE_BASED_METHODS = (*ATC_METHODS, "doc", "cot")
 
-# Entropic transport settings: cot's regularization, and the Newton step cap
-# and L1 marginal tolerance of every sinkhorn_cost solve.
+# Entropic transport settings of every sinkhorn_cost solve: the
+# regularization, the Newton step cap and the L1 marginal tolerance.
 OT_EPSILON = 1e-2
 OT_MAX_ITERS = 20000
 OT_TOL = 1e-8
@@ -39,7 +39,6 @@ OT_TOL = 1e-8
 @dataclass(frozen=True)
 class SoftmaxOutput:
     probabilities: np.ndarray
-    temperature: float
 
 
 def _check_temperature(name: str, value: float) -> None:
@@ -65,21 +64,7 @@ def softmax(logits, temperature: float = 1.0) -> SoftmaxOutput:
     p -= top
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    return SoftmaxOutput(probabilities=p, temperature=temperature)
-
-
-def _report(method, predicted, n, *, correct=None, pairs=None, config=None,
-            t0=None, seed=None) -> EstimateReport:
-    return EstimateReport(
-        method=method,
-        predicted_accuracy=float(predicted),
-        n_samples=int(n),
-        per_sample_correct=correct,
-        grad_norm_pairs=pairs,
-        config_echo=config or {},
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0 if t0 is not None else 0.0,
-        seed=seed,
-    )
+    return SoftmaxOutput(probabilities=p)
 
 
 def _need_validation(bundle: DatasetBundle, method: str) -> None:
@@ -95,7 +80,7 @@ def ac(bundle: DatasetBundle, seed=None) -> EstimateReport:
     """Average of the per-row maximum softmax probability."""
     t0 = time.perf_counter()
     confidence = _atc_scores(bundle.target_logits, "maxprob", 1.0).mean()
-    return _report("ac", confidence, bundle.n_target, t0=t0, seed=seed)
+    return EstimateReport.since(t0, "ac", confidence, bundle.n_target, seed=seed)
 
 
 def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
@@ -118,8 +103,9 @@ def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
         stack = np.vstack([r, softmax(z[rows]).probabilities])
         if rows.stop < n:
             r = np.linalg.qr(stack, mode="r")
+            del stack  # so the next block's stack is formed without this one
     score = numerics.nuclear_norm(stack) / np.sqrt(n * c)
-    return _report("nuclear", score, n, t0=t0, seed=seed)
+    return EstimateReport.since(t0, "nuclear", score, n, seed=seed)
 
 
 def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> EstimateReport:
@@ -131,13 +117,9 @@ def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> Esti
         features=bundle.target_features,
     )
     correct = estimator.is_correct(pairs[:, 0], pairs[:, 1])
-    return _report(
-        "gradnorm", np.count_nonzero(correct) / n, n,
-        correct=correct.astype(np.int8),
-        pairs=pairs,
-        config={"temperature": float(temperature)},
-        t0=t0, seed=seed,
-    )
+    return EstimateReport.since(t0, "gradnorm", np.count_nonzero(correct) / n, n,
+                                correct=correct.astype(np.int8), pairs=pairs,
+                                config={"temperature": float(temperature)}, seed=seed)
 
 
 # ------------------------------------------------------------- source-based
@@ -195,10 +177,8 @@ def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float
     config = {"score": score, "threshold": threshold, "val_accuracy": val_acc}
     if score == "energy":
         config["energy_temperature"] = float(energy_temperature)
-    return _report(
-        method, above.mean(), bundle.n_target,
-        correct=above.astype(np.int8), config=config, t0=t0, seed=seed,
-    )
+    return EstimateReport.since(t0, method, above.mean(), bundle.n_target,
+                                correct=above.astype(np.int8), config=config, seed=seed)
 
 
 def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
@@ -211,28 +191,28 @@ def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
     predicted = min(1.0, max(0.0, val_acc - (val_conf - target_conf)))
     config = {"val_accuracy": val_acc, "val_confidence": float(val_conf),
               "target_confidence": float(target_conf)}
-    return _report("doc", predicted, bundle.n_target, config=config, t0=t0, seed=seed)
+    return EstimateReport.since(t0, "doc", predicted, bundle.n_target, config=config, seed=seed)
 
 
 # ------------------------------------------------------------------ sinkhorn
 
-def _semi_dual(cost, a, b, epsilon, g):
+def _semi_dual(cost, a, b, g):
     """Semi-dual objective at class potentials g, its row softmax and residual.
 
     The row potentials are eliminated in closed form, so each row of the
-    plan is ``a_i`` times the softmax ``s`` of ``(g - cost_i) / epsilon``.
+    plan is ``a_i`` times the softmax ``s`` of ``(g - cost_i) / OT_EPSILON``.
     The objective's gradient in g is the negated column residual.
     """
-    z = (g[None, :] - cost) / epsilon
+    z = (g[None, :] - cost) / OT_EPSILON
     lse = numerics.logsumexp(z, axis=1)
     z -= lse[:, None]
     s = np.exp(z, out=z)
-    value = float(-epsilon * np.dot(a, lse) + np.dot(b, g))
+    value = float(-OT_EPSILON * np.dot(a, lse) + np.dot(b, g))
     return value, s, a @ s - b, lse
 
 
-def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float = OT_EPSILON):
-    """Entropically regularized transport cost (Cuturi 2013).
+def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Entropically regularized transport cost (Cuturi 2013), at ``OT_EPSILON``.
 
     Returns (transported cost, (f, g) potentials, iterations). Convergence
     is declared when both marginals of the implied plan are within ``OT_TOL``
@@ -240,7 +220,7 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
 
     With the row potentials f eliminated, the dual is a smooth concave
     semi-dual in the class potentials g (Genevay et al. 2016), maximized
-    here from ``g = epsilon * log(b)`` by damped Newton steps; ``iterations``
+    here from ``g = OT_EPSILON * log(b)`` by damped Newton steps; ``iterations``
     counts the accepted steps. A step is accepted when the objective rises
     beyond its rounding band, or stays inside the band while the L1 column
     residual falls: near the optimum the objective no longer registers a
@@ -253,17 +233,17 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
     n, m = cost.shape
     if a.shape != (n,) or b.shape != (m,):
         raise DegenerateInputError("marginal weights do not match the cost matrix")
-    g = epsilon * np.log(b)
-    value, s, residual, lse = _semi_dual(cost, a, b, epsilon, g)
+    g = OT_EPSILON * np.log(b)
+    value, s, residual, lse = _semi_dual(cost, a, b, g)
     lam = 1e-6
     spent = 0
     while spent < OT_MAX_ITERS and lam <= 1e12:
         slack = float(np.abs(residual).sum())
         if slack < 0.1 * OT_TOL:
             break
-        hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / epsilon
+        hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / OT_EPSILON
         trial = g + np.linalg.solve(hess + lam * np.eye(m), -residual)
-        t_value, t_s, t_residual, t_lse = _semi_dual(cost, a, b, epsilon, trial)
+        t_value, t_s, t_residual, t_lse = _semi_dual(cost, a, b, trial)
         band = 4.0 * np.finfo(np.float64).eps * abs(value)
         if t_value - value > band or (
             t_value - value >= -band and float(np.abs(t_residual).sum()) < slack
@@ -273,8 +253,8 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray, epsilon: float
             spent += 1
         else:
             lam *= 10.0
-    f = epsilon * (np.log(a) - lse)
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+    f = OT_EPSILON * (np.log(a) - lse)
+    plan = np.exp((f[:, None] + g[None, :] - cost) / OT_EPSILON)
     violation = max(
         float(np.abs(plan.sum(axis=1) - a).sum()),
         float(np.abs(plan.sum(axis=0) - b).sum()),
@@ -309,7 +289,7 @@ def cot(bundle: DatasetBundle, seed=None) -> EstimateReport:
     predicted = min(1.0, max(0.0, 1.0 - ot_cost))
     config = {"epsilon": OT_EPSILON, "max_iters": OT_MAX_ITERS,
               "ot_cost": float(ot_cost), "sinkhorn_iterations": int(iters)}
-    return _report("cot", predicted, n, config=config, t0=t0, seed=seed)
+    return EstimateReport.since(t0, "cot", predicted, n, config=config, seed=seed)
 
 
 # ------------------------------------------------------------------ registry

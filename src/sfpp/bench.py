@@ -25,6 +25,10 @@ from .ingest import DatasetBundle
 
 CLUSTER_SPREAD = 2.4  # standard deviation of the cluster-center draw
 
+# Validation inclusion ratios and seeded subsample trials per ratio of a suite run.
+DEFAULT_RATIOS = (0.01, 0.05, 0.1, 1.0)
+DEFAULT_TRIALS = 20
+
 SOURCE_FREE = (estimator.METHOD_ID,) + baselines.SOURCE_FREE_METHODS
 SOURCE_BASED = baselines.SOURCE_BASED_METHODS
 ALL_METHODS = SOURCE_FREE + SOURCE_BASED
@@ -268,8 +272,7 @@ def generate(scenario: BenchScenario) -> GeneratedData:
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
-                     learning_rate: float, iterations: int,
-                     return_losses: bool = False):
+                     learning_rate: float, iterations: int):
     """Multinomial logistic regression by full-batch gradient descent.
 
     Parameters start at zero, the step size is fixed, and every pass uses
@@ -286,7 +289,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
     row_sum = np.empty((n, 1))
     grad_w = np.empty((class_count, d))
     grad_b = np.empty(class_count)
-    losses = []
     for _ in range(iterations):
         np.matmul(x, w.T, out=s)
         s += b
@@ -298,8 +300,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
         np.exp(s, out=s)
         np.sum(s, axis=1, keepdims=True, out=row_sum)
         s /= row_sum
-        if return_losses:
-            losses.append(float(-np.mean(np.log(s_flat[label_flat] + 1e-300))))
         s_flat[label_flat] -= 1.0
         s /= n  # s now holds the gradient of the mean loss in the logits
         np.matmul(s.T, x, out=grad_w)
@@ -308,8 +308,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
         np.sum(s, axis=0, out=grad_b)
         grad_b *= learning_rate
         b -= grad_b
-    if return_losses:
-        return w, b, losses
     return w, b
 
 
@@ -404,8 +402,8 @@ def worker_count() -> int:
     return value if value > 0 else (os.cpu_count() or 1)
 
 
-def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=(0.01, 0.05, 0.1, 1.0),
-              trials: int = 20) -> MaeTable:
+def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=DEFAULT_RATIOS,
+              trials: int = DEFAULT_TRIALS) -> MaeTable:
     """Run all scenarios and aggregate absolute errors into a table.
 
     Scenarios are independent and may run on worker threads; rows are

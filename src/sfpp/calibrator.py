@@ -16,8 +16,9 @@ A = s Sigma^-1 M^T and beta_j = -1/2 s mu_j^T Sigma^-1 mu_j + log pi_j,
 and the cross-entropy gradient with respect to x is (p - t) @ A^T. Both
 are evaluated with x and the means taken about the mean of the means,
 which changes neither but keeps a common logit offset from costing digits.
-"literal" mode is an alias of "bayes": the per-row third term of the
-term-by-term form cancels in the same normalization.
+``CalibratorConfig.mode`` is checked and echoed, but no computation reads
+it: "literal" named the term-by-term form, whose per-row third term cancels
+in the same normalization, so it is an alias of "bayes".
 """
 
 from __future__ import annotations
@@ -122,7 +123,14 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
         means[:, j] = np.bincount(labels, weights=logits[:, j], minlength=c)
     means[represented] /= counts[represented, None]
 
-    factor = numerics.cholesky_with_jitter(numerics.covariance(logits), config.cov_jitter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = numerics.covariance(logits)
+    if not np.all(np.isfinite(cov)):
+        raise DegenerateInputError(
+            f"logits of shape {logits.shape} are too large: their covariance overflows"
+        )
+    factor = numerics.cholesky_with_jitter(cov, config.cov_jitter)
+    del cov  # so the C x C temporaries below are formed without it
 
     sigma_inv_scale = 1.0
     if c > config.normalize_threshold:
@@ -172,9 +180,9 @@ def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.nda
     return scores
 
 
-def log_posterior(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
+def log_posterior(model: GaussianModel, x) -> np.ndarray:
     """Row-normalized log posterior of a single logit vector."""
-    return log_posterior_matrix(model, np.asarray(x, dtype=np.float64)[None, :], mode)[0]
+    return log_posterior_matrix(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:

@@ -86,7 +86,7 @@ def cmd_bench(args) -> int:
         scenarios = bench.default_suite(args.seed)
     else:
         try:
-            docs = json.loads(Path(args.suite).read_text("utf-8"))
+            docs = json.loads(Path(args.suite).read_text("utf-8-sig"))
         except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nest
             raise InputError(f"{args.suite}: not a valid suite file: {exc}") from None
         if not isinstance(docs, list) or not docs:
@@ -106,7 +106,7 @@ def cmd_dump_calibration(args) -> int:
     bundle = _bundle_from_args(args)
     config = _config_from_args(calibrator.CalibratorConfig, args)
     model = calibrator.fit(bundle.target_logits, config)
-    posteriors = calibrator.posterior_matrix(model, bundle.target_logits, config.mode)
+    posteriors = calibrator.posterior_matrix(model, bundle.target_logits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     factor = model.covariance_factor
@@ -171,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="synthetic distribution-shift benchmark")
     p.add_argument("--suite", default="default",
                    help="'default' or a JSON file with scenario records")
-    p.add_argument("--ratios", default="0.01,0.05,0.1,1.0",
+    p.add_argument("--ratios", default=",".join(map(str, bench.DEFAULT_RATIOS)),
                    help="comma-separated validation inclusion ratios")
-    p.add_argument("--trials", type=int, default=20,
+    p.add_argument("--trials", type=int, default=bench.DEFAULT_TRIALS,
                    help="seeded subsample trials per ratio")
     p.add_argument("--seed", type=int, default=0, help="base seed for the default suite")
     p.add_argument("--methods", default="",

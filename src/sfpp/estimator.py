@@ -31,7 +31,6 @@ class EstimatorConfig(CalibratorConfig):
 
 @dataclass(frozen=True)
 class Verdict:
-    sample_index: int
     grad_norm_pl: float
     grad_norm_uniform: float
     correct: bool
@@ -44,7 +43,7 @@ def _check_target(target: np.ndarray) -> np.ndarray:
     return target
 
 
-def grad_wrt_logits(model: GaussianModel, x, target, mode: str = "bayes") -> np.ndarray:
+def grad_wrt_logits(model: GaussianModel, x, target) -> np.ndarray:
     """Gradient of the calibrated cross-entropy loss with respect to the logits.
 
     The log posterior is log_softmax((z - center) @ A + beta), so the
@@ -52,7 +51,7 @@ def grad_wrt_logits(model: GaussianModel, x, target, mode: str = "bayes") -> np.
     """
     x = np.asarray(x, dtype=np.float64)
     target = _check_target(target)
-    s = calibrator.posterior_matrix(model, x[None, :], mode)[0]
+    s = calibrator.posterior_matrix(model, x[None, :])[0]
     return (s - target) @ model.weights.T
 
 
@@ -90,8 +89,8 @@ def is_correct(norm_pl, norm_uniform, eq5_literal: bool = False):
     return (norm_uniform < norm_pl) if eq5_literal else (norm_pl < norm_uniform)
 
 
-def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
-                   mode: str = "bayes") -> tuple[float, float]:
+def grad_norm_pair(model: GaussianModel, x,
+                   feature_norm: float | None = None) -> tuple[float, float]:
     """Last-layer gradient norms toward the pseudo-label and toward uniform.
 
     With a feature norm the norms carry the factor sqrt(feature_norm^2 + 1);
@@ -102,16 +101,15 @@ def grad_norm_pair(model: GaussianModel, x, feature_norm: float | None = None,
         raise DegenerateInputError(f"feature_norm must be positive, got {feature_norm}")
     features = None if feature_norm is None else np.array([[feature_norm]], dtype=np.float64)
     _, pairs = gradient_norms(np.asarray(x, dtype=np.float64)[None, :],
-                              lambda rows: calibrator.posterior_matrix(model, rows, mode),
+                              lambda rows: calibrator.posterior_matrix(model, rows),
                               model.weights, features)
     return float(pairs[0, 0]), float(pairs[0, 1])
 
 
-def judge(pair: tuple[float, float], sample_index: int = 0, eq5_literal: bool = False) -> Verdict:
+def judge(pair: tuple[float, float]) -> Verdict:
     """Verdict on one (pseudo-label, uniform) norm pair, by ``is_correct``."""
     pl, uniform = float(pair[0]), float(pair[1])
-    return Verdict(sample_index=sample_index, grad_norm_pl=pl, grad_norm_uniform=uniform,
-                   correct=is_correct(pl, uniform, eq5_literal))
+    return Verdict(grad_norm_pl=pl, grad_norm_uniform=uniform, correct=is_correct(pl, uniform))
 
 
 def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorConfig(),
@@ -122,19 +120,12 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     n = z.shape[0]
     model = calibrator.fit(z, config)
     pl_idx, pairs = gradient_norms(
-        z, lambda rows: calibrator.posterior_matrix(model, rows, config.mode),
+        z, lambda rows: calibrator.posterior_matrix(model, rows),
         model.weights, bundle.target_features,
     )
     correct = is_correct(pairs[:, 0], pairs[:, 1], config.eq5_literal)
     echo = asdict(config)
     echo["pl_vs_raw_argmax_disagreements"] = int(np.sum(pl_idx != np.argmax(z, axis=1)))
-    return EstimateReport(
-        method=METHOD_ID,
-        predicted_accuracy=float(np.count_nonzero(correct)) / n,
-        n_samples=n,
-        per_sample_correct=correct.astype(np.int8),
-        grad_norm_pairs=pairs,
-        config_echo=echo,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=seed,
-    )
+    return EstimateReport.since(t0, METHOD_ID, np.count_nonzero(correct) / n, n,
+                                correct=correct.astype(np.int8), pairs=pairs,
+                                config=echo, seed=seed)

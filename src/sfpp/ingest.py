@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,14 @@ class EstimateReport:
     config_echo: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
     seed: int | None = None
+
+    @classmethod
+    def since(cls, t0: float, method: str, predicted, n, *, correct=None, pairs=None,
+              config=None, seed=None) -> EstimateReport:
+        """The report of a run that started at ``time.perf_counter()`` reading ``t0``."""
+        return cls(method=method, predicted_accuracy=float(predicted), n_samples=int(n),
+                   per_sample_correct=correct, grad_norm_pairs=pairs, config_echo=config or {},
+                   elapsed_ms=(time.perf_counter() - t0) * 1000.0, seed=seed)
 
 
 # ----------------------------------------------------------------- arrays
@@ -192,10 +201,11 @@ BUNDLE_KEYS = (
 
 
 def read_manifest(path) -> dict:
-    """Parse a flat ``key = path`` manifest file; '#' starts a comment."""
+    """Parse a flat ``key = path`` manifest file; '#' starts a comment and a
+    UTF-8 byte order mark is dropped."""
     out = {}
     first_line = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text("utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

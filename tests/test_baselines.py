@@ -303,7 +303,7 @@ class TestSinkhorn:
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         a = np.array([0.5, 0.5])
         b = np.array([0.5, 0.5])
-        got, _, _ = sinkhorn_cost(cost, a, b, epsilon=1e-2)
+        got, _, _ = sinkhorn_cost(cost, a, b)
         assert got == pytest.approx(0.0, abs=1e-8)
 
 

@@ -192,6 +192,17 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def block_bytes(z):
+        """Bytes of one float64 array over the first row block of z."""
+        rows = next(numerics.row_blocks(*z.shape))
+        return (rows.stop - rows.start) * z.shape[1] * 8
+
+    @staticmethod
+    def norm_outputs_bytes(n):
+        """The pseudo-labels and norm pairs gradient_norms returns."""
+        return n * np.dtype(np.intp).itemsize + 2 * n * 8
+
     @pytest.mark.parametrize("method", [
         "predict", "gradnorm", "nuclear", "ac", "doc", "atc-prob", "atc-entropy", "atc-energy",
     ])
@@ -207,13 +218,41 @@ class TestPeakMemory:
         residual and (with a head) its product: one block's arrays, none kept
         into the next block."""
         z = tall.target_logits
-        n, c = z.shape
-        rows = next(numerics.row_blocks(n, c))
-        weights = np.eye(c) if with_head else None
+        weights = np.eye(z.shape[1]) if with_head else None
         peak = self.peak_bytes(lambda: estimator.gradient_norms(
             z, lambda block: baselines.softmax(block).probabilities, weights))
-        outputs = n * np.dtype(np.intp).itemsize + 2 * n * 8
-        assert peak - outputs < blocks * (rows.stop - rows.start) * c * 8
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < blocks * self.block_bytes(z)
+
+    # The next three guards bound a pass at its peak measured on the 10^5 x 50
+    # head, in blocks, plus half a block: a pass that keeps one block's array
+    # alive into the next block adds a whole one.
+
+    def test_posterior_matrix_holds_one_block_at_a_time(self, tall):
+        """Through gradient_norms with a fitted head, the calibrated posterior
+        holds no more than softmax does: its centered rows, scores and shifted
+        scores are freed block by block. Measured: 3.04 blocks."""
+        z = tall.target_logits
+        model = calibrator.fit(z)
+        model.offsets  # forms and caches A and beta outside the measurement
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: calibrator.posterior_matrix(model, block), model.weights))
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < 3.5 * self.block_bytes(z)
+
+    def test_nuclear_tsqr_holds_one_block_at_a_time(self, tall):
+        """The TSQR pass holds one block's softmax rows, their stack under R
+        and qr's copy of that stack. Measured: 2.04 blocks."""
+        peak = self.peak_bytes(lambda: baselines.nuclear_norm_score(tall))
+        assert peak < 2.5 * self.block_bytes(tall.target_logits)
+
+    @pytest.mark.parametrize("score, blocks", [
+        ("maxprob", 1.5),     # measured 1.07: the softmax rows
+        ("negentropy", 3.5),  # measured 3.13: p, log p and their product
+        ("energy", 2.5),      # measured 2.08: the scaled logits and logsumexp's shift
+    ])
+    def test_atc_scores_hold_one_block_at_a_time(self, tall, score, blocks):
+        z = tall.target_logits
+        peak = self.peak_bytes(lambda: baselines._atc_scores(z, score, 1.0))
+        assert peak - z.shape[0] * 8 < blocks * self.block_bytes(z)
 
     @pytest.mark.parametrize("method", ["fit", "predict"])
     def test_skewed_head_peak_below_half_an_array(self, skewed, method):
@@ -221,3 +260,11 @@ class TestPeakMemory:
             lambda: estimator.predict_accuracy(skewed))
         peak = self.peak_bytes(run)
         assert peak < 0.5 * skewed.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+    def test_wide_fit_frees_the_covariance(self):
+        """On a 1500 x 600 head the fit peaks at 8.04 C x C arrays (the
+        factor, its inverse, Sigma^-1, A and the prior terms, not all at
+        once); keeping the covariance alive past its factorization adds one."""
+        z = head(np.random.default_rng(37), 1500, 600).target_logits
+        peak = self.peak_bytes(lambda: calibrator.fit(z))
+        assert peak < 8.5 * 600 * 600 * 8

@@ -225,7 +225,7 @@ class TestLogPosterior:
     def test_bad_mode(self):
         m = make_model([[1.0, 0.0], [-1.0, 0.0]], np.eye(2))
         with pytest.raises(DegenerateInputError):
-            log_posterior(m, np.zeros(2), mode="softmax")
+            log_posterior_matrix(m, np.zeros((1, 2)), mode="softmax")
 
 
 # -------------------------------------------------------------- invariants

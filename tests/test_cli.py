@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,11 @@ import sfpp
 from sfpp import baselines, bench, calibrator, estimator
 from sfpp.cli import _config_from_args, build_parser, main
 from sfpp.ingest import write_array
+
+
+def without_elapsed(path):
+    """A report's bytes with its elapsed_ms value blanked out."""
+    return re.sub(rb'"elapsed_ms": [^,\n]+', b'"elapsed_ms": _', Path(path).read_bytes())
 
 
 def env_with_src():
@@ -86,6 +92,35 @@ class TestPredict:
         mf.write_text(f"target_logits = {logits_file}\n")
         out = tmp_path / "r.json"
         assert main(["predict", "--manifest", str(mf), "--out", str(out)]) == 0
+
+    def test_manifest_with_byte_order_mark(self, tmp_path, logits_file, capsys):
+        reports = []
+        for tag, mark in (("plain", ""), ("bom", "\ufeff")):
+            mf = tmp_path / f"{tag}.manifest"
+            mf.write_text(f"{mark}target_logits = {logits_file}\n", encoding="utf-8")
+            out = tmp_path / f"{tag}.json"
+            assert main(["predict", "--manifest", str(mf), "--out", str(out)]) == 0
+            reports.append(without_elapsed(out))
+        assert (tmp_path / "bom.manifest").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e155, 2), (1e300, 2)])
+    def test_overflowing_covariance_named_exit_2(self, tmp_path, scale, code):
+        rng = np.random.default_rng(317)
+        z = rng.normal(size=(50, 4))
+        z[np.arange(50), rng.integers(0, 4, 50)] += 2.0
+        p, out = tmp_path / "z.npy", tmp_path / "r.json"
+        write_array(p, z * scale)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfpp.cli", "predict", "--logits", str(p), "--out", str(out)],
+            capture_output=True, text=True, env=env_with_src(),
+        )
+        assert proc.returncode == code
+        assert "Warning" not in proc.stderr
+        if code == 2:
+            assert proc.stderr == (
+                "error: logits of shape (50, 4) are too large: their covariance overflows\n")
+            assert not out.exists()
 
     def test_manifest_with_array_flag_exit_2(self, tmp_path, logits_file, capsys):
         other = tmp_path / "other.npy"
@@ -289,6 +324,24 @@ class TestBench:
             outs.append((out / "mae_table.json").read_bytes()
                         + (out / "mae_table.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_parsed_defaults_are_the_suite_defaults(self):
+        args = build_parser().parse_args(["bench", "--out", "unused"])
+        assert tuple(float(r) for r in args.ratios.split(",")) == bench.DEFAULT_RATIOS
+        assert args.trials == bench.DEFAULT_TRIALS
+
+    def test_suite_file_with_byte_order_mark(self, tmp_path, capsys):
+        suite = small_suite_file(tmp_path)
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + suite.read_bytes())
+        tables = []
+        for tag, path in (("plain", suite), ("bom", marked)):
+            out = tmp_path / tag
+            assert main(["bench", "--suite", str(path), "--ratios", "1.0", "--trials", "1",
+                         "--methods", "ac,gradnorm", "--out", str(out)]) == 0
+            tables.append((out / "mae_table.json").read_bytes()
+                          + (out / "mae_table.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_csv_layout(self, tmp_path, capsys):
         suite = small_suite_file(tmp_path)

@@ -12,6 +12,7 @@ from sfpp.estimator import (
     Verdict,
     grad_norm_pair,
     grad_wrt_logits,
+    is_correct,
     judge,
     predict_accuracy,
 )
@@ -19,12 +20,12 @@ from sfpp.ingest import DatasetBundle, report_to_json
 from tests.test_calibrator import make_model, random_model
 
 
-def fd_gradient(model, x, target, mode="bayes"):
+def fd_gradient(model, x, target):
     """Independent central-difference oracle for the cross-entropy loss."""
     from sfpp.calibrator import log_posterior
 
     def loss(z):
-        return -float(np.dot(target, log_posterior(model, z, mode)))
+        return -float(np.dot(target, log_posterior(model, z)))
 
     g = np.zeros_like(x)
     for j in range(len(x)):
@@ -64,15 +65,6 @@ class TestGradWrtLogits:
             got = grad_wrt_logits(m, x, t)
             want = fd_gradient(m, x, t)
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) < 1e-5
-
-    def test_literal_mode_uses_fd(self):
-        rng = np.random.default_rng(157)
-        m = random_model(rng, 3)
-        x = rng.normal(size=3)
-        t = rng.dirichlet(np.ones(3))
-        got = grad_wrt_logits(m, x, t, mode="literal")
-        want = fd_gradient(m, x, t, mode="literal")
-        np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_rejects_non_distribution(self):
         rng = np.random.default_rng(163)
@@ -144,10 +136,10 @@ class TestJudge:
         assert not judge((pl, u)).correct
 
     def test_flipped_indicator(self):
-        assert judge((0.2, 0.1), eq5_literal=True).correct
-        assert not judge((0.1, 0.2), eq5_literal=True).correct
-        v = judge((0.1, 0.2), sample_index=7)
-        assert isinstance(v, Verdict) and v.sample_index == 7 and v.correct
+        assert is_correct(0.2, 0.1, eq5_literal=True)
+        assert not is_correct(0.1, 0.2, eq5_literal=True)
+        v = judge((0.1, 0.2))
+        assert isinstance(v, Verdict) and v.correct
 
 
 def clustered_bundle(rng, n_per=40, c=3, spread=8.0, noise=0.5, features=False):
