@@ -76,14 +76,14 @@ def _need_validation(bundle: DatasetBundle, method: str) -> None:
 
 # -------------------------------------------------------------- source-free
 
-def ac(bundle: DatasetBundle, seed=None) -> EstimateReport:
+def ac(bundle: DatasetBundle) -> EstimateReport:
     """Average of the per-row maximum softmax probability."""
     t0 = time.perf_counter()
     confidence = _atc_scores(bundle.target_logits, "maxprob", 1.0).mean()
-    return EstimateReport.since(t0, "ac", confidence, bundle.n_target, seed=seed)
+    return EstimateReport.since(t0, "ac", confidence, bundle.n_target)
 
 
-def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
+def nuclear_norm_score(bundle: DatasetBundle) -> EstimateReport:
     """Nuclear norm of the softmax matrix, scaled into [0, 1] by sqrt(n*C).
 
     The scaling maps balanced one-hot certainty to 1 and all-uniform
@@ -105,10 +105,10 @@ def nuclear_norm_score(bundle: DatasetBundle, seed=None) -> EstimateReport:
             r = np.linalg.qr(stack, mode="r")
             del stack  # so the next block's stack is formed without this one
     score = numerics.nuclear_norm(stack) / np.sqrt(n * c)
-    return EstimateReport.since(t0, "nuclear", score, n, seed=seed)
+    return EstimateReport.since(t0, "nuclear", score, n)
 
 
-def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> EstimateReport:
+def gradnorm(bundle: DatasetBundle, temperature: float = 1.0) -> EstimateReport:
     """The shared gradient-norm rule on plain softmax: g = s - target in logit space."""
     t0 = time.perf_counter()
     n = bundle.n_target
@@ -119,7 +119,7 @@ def gradnorm(bundle: DatasetBundle, temperature: float = 1.0, seed=None) -> Esti
     correct = estimator.is_correct(pairs[:, 0], pairs[:, 1])
     return EstimateReport.since(t0, "gradnorm", np.count_nonzero(correct) / n, n,
                                 correct=correct.astype(np.int8), pairs=pairs,
-                                config={"temperature": float(temperature)}, seed=seed)
+                                config={"temperature": float(temperature)})
 
 
 # ------------------------------------------------------------- source-based
@@ -160,8 +160,8 @@ def _atc_threshold(val_scores: np.ndarray, val_accuracy: float) -> float:
     return float(candidates[np.argmin(gaps)])
 
 
-def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float = 1.0,
-        seed=None) -> EstimateReport:
+def atc(bundle: DatasetBundle, score: str = "maxprob",
+        energy_temperature: float = 1.0) -> EstimateReport:
     """Threshold counting: pick t on validation, report P(target score > t)."""
     method = next((m for m, s in ATC_METHODS.items() if s == score), None)
     if method is None:
@@ -178,10 +178,10 @@ def atc(bundle: DatasetBundle, score: str = "maxprob", energy_temperature: float
     if score == "energy":
         config["energy_temperature"] = float(energy_temperature)
     return EstimateReport.since(t0, method, above.mean(), bundle.n_target,
-                                correct=above.astype(np.int8), config=config, seed=seed)
+                                correct=above.astype(np.int8), config=config)
 
 
-def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
+def doc(bundle: DatasetBundle) -> EstimateReport:
     """Validation accuracy minus the confidence gap, clamped into [0, 1]."""
     _need_validation(bundle, "doc")
     t0 = time.perf_counter()
@@ -191,7 +191,7 @@ def doc(bundle: DatasetBundle, seed=None) -> EstimateReport:
     predicted = min(1.0, max(0.0, val_acc - (val_conf - target_conf)))
     config = {"val_accuracy": val_acc, "val_confidence": float(val_conf),
               "target_confidence": float(target_conf)}
-    return EstimateReport.since(t0, "doc", predicted, bundle.n_target, config=config, seed=seed)
+    return EstimateReport.since(t0, "doc", predicted, bundle.n_target, config=config)
 
 
 # ------------------------------------------------------------------ sinkhorn
@@ -266,7 +266,7 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return float(np.sum(plan * cost)), (f, g), spent
 
 
-def cot(bundle: DatasetBundle, seed=None) -> EstimateReport:
+def cot(bundle: DatasetBundle) -> EstimateReport:
     """Transport cost from predicted probabilities to the label histogram.
 
     Ground cost between a probability row p and the one-hot vertex of class
@@ -289,28 +289,28 @@ def cot(bundle: DatasetBundle, seed=None) -> EstimateReport:
     predicted = min(1.0, max(0.0, 1.0 - ot_cost))
     config = {"epsilon": OT_EPSILON, "max_iters": OT_MAX_ITERS,
               "ot_cost": float(ot_cost), "sinkhorn_iterations": int(iters)}
-    return EstimateReport.since(t0, "cot", predicted, n, config=config, seed=seed)
+    return EstimateReport.since(t0, "cot", predicted, n, config=config)
 
 
 # ------------------------------------------------------------------ registry
 
 def run_baseline(method: str, bundle: DatasetBundle, temperature: float = 1.0,
-                 energy_temperature: float = 1.0, seed=None) -> EstimateReport:
+                 energy_temperature: float = 1.0) -> EstimateReport:
     """Dispatch a CLI method id onto its estimator, after checking both temperatures."""
     _check_temperature("temperature", temperature)
     _check_temperature("energy_temperature", energy_temperature)
     if method == "ac":
-        return ac(bundle, seed=seed)
+        return ac(bundle)
     if method == "nuclear":
-        return nuclear_norm_score(bundle, seed=seed)
+        return nuclear_norm_score(bundle)
     if method == "gradnorm":
-        return gradnorm(bundle, temperature=temperature, seed=seed)
+        return gradnorm(bundle, temperature=temperature)
     if method in ATC_METHODS:
-        return atc(bundle, ATC_METHODS[method], energy_temperature=energy_temperature, seed=seed)
+        return atc(bundle, ATC_METHODS[method], energy_temperature=energy_temperature)
     if method == "doc":
-        return doc(bundle, seed=seed)
+        return doc(bundle)
     if method == "cot":
-        return cot(bundle, seed=seed)
+        return cot(bundle)
     raise DegenerateInputError(
         f"unknown method {method!r}; expected one of "
         f"{SOURCE_FREE_METHODS + SOURCE_BASED_METHODS}"

@@ -332,6 +332,18 @@ class MaeTable:
     rows: list = field(default_factory=list)  # (scenario, method, ratio, trial, ae | None)
 
 
+def subsample_size(ratio: float, n_val: int) -> int:
+    """floor(ratio * n_val) at the ratio's decimal value, its shortest repr:
+    in binary floating point 0.29 * 100 is 28.999999999999996. The digits
+    are read as integers, because ``fractions`` would import ``decimal``
+    into every command."""
+    mantissa, _, exp = repr(float(ratio)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)  # ratio = int(whole + frac) * 10**shift
+    rows = int(whole + frac) * n_val
+    return rows * 10**shift if shift >= 0 else rows // 10**-shift
+
+
 def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     """Run every requested estimator on one scenario; returns (true_acc, rows).
 
@@ -350,11 +362,12 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     val_logits = logits_of(data.val_x, w, b)
     true_acc = float(np.mean(np.argmax(target_logits, axis=1) == data.target_y))
     n_val = scenario.n_val
+    counts = [subsample_size(ratio, n_val) for ratio in ratios]
 
     @functools.cache
     def subsample(r_idx, trial):
         rng = Xorshift64Star(mix_seed(scenario.seed, r_idx, trial))
-        return rng.sample_indices(n_val, int(ratios[r_idx] * n_val))
+        return rng.sample_indices(n_val, counts[r_idx])
 
     def abs_error(method, val_rows=None):
         """AE of one estimator run, on the validation rows `val_rows` (None: no split)."""
@@ -363,9 +376,9 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
         bundle = DatasetBundle(target_logits=target_logits, class_count=scenario.class_count,
                                target_features=data.target_x, **split)
         if method == estimator.METHOD_ID:
-            report = estimator.predict_accuracy(bundle, seed=scenario.seed)
+            report = estimator.predict_accuracy(bundle)
         else:
-            report = baselines.run_baseline(method, bundle, seed=scenario.seed)
+            report = baselines.run_baseline(method, bundle)
         return abs(report.predicted_accuracy - true_acc)
 
     rows = []
@@ -375,8 +388,7 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
             rows.extend((scenario.name, method, ratio, 0, ae) for ratio in ratios)
             continue
         full_ae = None
-        for r_idx, ratio in enumerate(ratios):
-            count = int(ratio * n_val)
+        for r_idx, (ratio, count) in enumerate(zip(ratios, counts)):
             for trial in range(trials):
                 if count >= n_val:
                     if full_ae is None:

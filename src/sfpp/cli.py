@@ -35,28 +35,25 @@ def _config_from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
-def _print_and_write(report, out_path):
-    ingest.write_report(report, out_path)
+def _print_and_write(report, args):
+    """Stamp the report with --seed, write it to --out, print the estimate."""
+    report.seed = args.seed
+    ingest.write_report(report, args.out)
     print(f"{report.predicted_accuracy:.4f}")
 
 
 def cmd_predict(args) -> int:
     config = _config_from_args(estimator.EstimatorConfig, args)
-    bundle = _bundle_from_args(args)
-    report = estimator.predict_accuracy(bundle, config, seed=args.seed)
-    _print_and_write(report, args.out)
+    report = estimator.predict_accuracy(_bundle_from_args(args), config)
+    _print_and_write(report, args)
     return 0
 
 
 def cmd_baseline(args) -> int:
-    bundle = _bundle_from_args(args)
-    report = baselines.run_baseline(
-        args.method, bundle,
-        temperature=args.temperature,
-        energy_temperature=args.energy_temperature,
-        seed=args.seed,
-    )
-    _print_and_write(report, args.out)
+    report = baselines.run_baseline(args.method, _bundle_from_args(args),
+                                    temperature=args.temperature,
+                                    energy_temperature=args.energy_temperature)
+    _print_and_write(report, args)
     return 0
 
 

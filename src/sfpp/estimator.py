@@ -112,8 +112,8 @@ def judge(pair: tuple[float, float]) -> Verdict:
     return Verdict(grad_norm_pl=pl, grad_norm_uniform=uniform, correct=is_correct(pl, uniform))
 
 
-def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorConfig(),
-                     seed: int | None = None) -> EstimateReport:
+def predict_accuracy(bundle: DatasetBundle,
+                     config: EstimatorConfig = EstimatorConfig()) -> EstimateReport:
     """Calibrate the bundle, judge every sample, and aggregate to an accuracy."""
     t0 = time.perf_counter()
     z = bundle.target_logits
@@ -128,4 +128,4 @@ def predict_accuracy(bundle: DatasetBundle, config: EstimatorConfig = EstimatorC
     echo["pl_vs_raw_argmax_disagreements"] = int(np.sum(pl_idx != np.argmax(z, axis=1)))
     return EstimateReport.since(t0, METHOD_ID, np.count_nonzero(correct) / n, n,
                                 correct=correct.astype(np.int8), pairs=pairs,
-                                config=echo, seed=seed)
+                                config=echo)

@@ -25,7 +25,8 @@ _READ_DTYPES = {"<f4": np.float32, "<f8": np.float64, "<i8": np.int64}
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything an estimator may consume, validated once at load time."""
+    """Everything an estimator may consume. The validation split is checked
+    on construction, the other arrays by `load_bundle`."""
 
     target_logits: np.ndarray
     class_count: int
@@ -34,6 +35,28 @@ class DatasetBundle:
     last_layer_bias: np.ndarray | None = None
     val_logits: np.ndarray | None = None
     val_labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        """The validation split's own rules, which hold however the bundle
+        was built; they cost O(validation rows)."""
+        logits, labels, c = self.val_logits, self.val_labels, self.target_logits.shape[1]
+        if (logits is None) != (labels is None):
+            raise BundleValidationError("val_logits and val_labels must be given together")
+        if logits is None:
+            return
+        if logits.shape[1] != c:
+            raise BundleValidationError(
+                f"val_logits has {logits.shape[1]} columns but target_logits has {c}"
+            )
+        if labels.shape[0] != logits.shape[0]:
+            raise BundleValidationError(
+                f"val_labels has {labels.shape[0]} entries but val_logits has "
+                f"{logits.shape[0]} rows"
+            )
+        if labels.size and (labels.min() < 0 or labels.max() >= c):
+            raise BundleValidationError(
+                f"val_labels must lie in [0, {c}), found range [{labels.min()}, {labels.max()}]"
+            )
 
     @property
     def n_target(self) -> int:
@@ -59,11 +82,11 @@ class EstimateReport:
 
     @classmethod
     def since(cls, t0: float, method: str, predicted, n, *, correct=None, pairs=None,
-              config=None, seed=None) -> EstimateReport:
+              config=None) -> EstimateReport:
         """The report of a run that started at ``time.perf_counter()`` reading ``t0``."""
         return cls(method=method, predicted_accuracy=float(predicted), n_samples=int(n),
                    per_sample_correct=correct, grad_norm_pairs=pairs, config_echo=config or {},
-                   elapsed_ms=(time.perf_counter() - t0) * 1000.0, seed=seed)
+                   elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 # ----------------------------------------------------------------- arrays
@@ -169,23 +192,9 @@ def write_array(path, values) -> None:
     arr = np.asarray(values)
     if arr.ndim not in (1, 2):
         raise ArrayFormatError(f"{path}: only rank-1 and rank-2 arrays are written, got rank {arr.ndim}")
-    if np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-        arr = arr.astype(np.int64)
-        descr = "<i8"
-    else:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        descr = "<f8"
-    shape = "(%d,)" % arr.shape if arr.ndim == 1 else "(%d, %d)" % arr.shape
-    header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (descr, shape)
-    # Pad with spaces so magic+version+len+header is a multiple of 64, newline-terminated.
-    unpadded = len(_NPY_MAGIC) + 2 + 2 + len(header) + 1
-    header = header + " " * (-unpadded % 64) + "\n"
+    arr = np.ascontiguousarray(arr, dtype="<i8" if arr.dtype.kind in "biu" else "<f8")
     with open(path, "wb") as fh:
-        fh.write(_NPY_MAGIC)
-        fh.write(bytes([1, 0]))
-        fh.write(len(header).to_bytes(2, "little"))
-        fh.write(header.encode("latin1"))
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        np.lib.format.write_array(fh, arr, version=(1, 0), allow_pickle=False)
 
 
 # ----------------------------------------------------------------- bundles
@@ -283,27 +292,12 @@ def load_bundle(manifest: dict) -> DatasetBundle:
                 f"with C={c} from target_logits; got shape {bias.shape}"
             )
         bias = bias.reshape(-1)
-    if ("val_logits" in arrays) != ("val_labels" in arrays):
-        raise BundleValidationError("val_logits and val_labels must be given together")
     if "val_logits" in arrays:
         val_logits = _as_2d("val_logits", arrays["val_logits"])
         if val_logits.shape[0] < 1:
             raise BundleValidationError(f"val_logits needs at least 1 row, got shape {val_logits.shape}")
-        if val_logits.shape[1] != c:
-            raise BundleValidationError(
-                f"val_logits has {val_logits.shape[1]} columns but target_logits has {c}"
-            )
+    if "val_labels" in arrays:
         val_labels = _as_labels("val_labels", arrays["val_labels"])
-        if val_labels.shape[0] != val_logits.shape[0]:
-            raise BundleValidationError(
-                f"val_labels has {val_labels.shape[0]} entries but val_logits has "
-                f"{val_logits.shape[0]} rows"
-            )
-        if val_labels.min() < 0 or val_labels.max() >= c:
-            raise BundleValidationError(
-                f"val_labels must lie in [0, {c}), found range "
-                f"[{val_labels.min()}, {val_labels.max()}]"
-            )
     return DatasetBundle(
         target_logits=logits,
         class_count=c,
@@ -328,30 +322,17 @@ def format_real(x: float) -> str:
 _JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{i: "\\u%04x" % i for i in range(0x20)}}
 
 
-class _Rendered(str):
-    """JSON text already rendered; _fmt_json emits it as is."""
-
-
-def _fmt_int_vector(values) -> _Rendered:
-    """The bytes _fmt_json gives a list of ints, built with one join."""
-    return _Rendered("[%s]" % ", ".join(map(str, np.asarray(values).astype(np.int64).tolist())))
-
-
-def _fmt_real_rows(rows) -> _Rendered:
-    """The bytes _fmt_json gives a list of lists of floats, built with one
-    format call; the finiteness check runs once over the whole array."""
-    rows = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        raise ValueError(f"report holds a non-finite real: {float(rows[~finite][0])}")
-    row = "[%s]" % ", ".join(["%.17g"] * rows.shape[1])
-    return _Rendered("[%s]" % ", ".join([row] * rows.shape[0]) % tuple(rows.ravel().tolist()))
-
-
 def _fmt_json(value, indent: int) -> str:
     pad = "  " * indent
-    if isinstance(value, _Rendered):
-        return value
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu":
+        return "[%s]" % ", ".join(map(str, value.astype(np.int64).tolist()))
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f":
+        # one finiteness check and one format call for the whole matrix
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"report holds a non-finite real: {float(value[~finite][0])}")
+        row = "[%s]" % ", ".join(["%.17g"] * value.shape[1])
+        return "[%s]" % ", ".join([row] * value.shape[0]) % tuple(value.ravel().tolist())
     if isinstance(value, str):
         return '"%s"' % value.translate(_JSON_ESCAPES)
     if isinstance(value, bool):
@@ -390,13 +371,13 @@ def report_to_json(report: EstimateReport) -> str:
         "n_samples": int(report.n_samples),
     }
     if report.per_sample_correct is not None:
-        doc["per_sample_correct"] = _fmt_int_vector(report.per_sample_correct)
+        doc["per_sample_correct"] = np.asarray(report.per_sample_correct)
     if report.grad_norm_pairs is not None:
-        doc["grad_norms"] = _fmt_real_rows(report.grad_norm_pairs)
+        doc["grad_norms"] = np.asarray(report.grad_norm_pairs, dtype=np.float64)
     doc["config"] = {k: report.config_echo[k] for k in sorted(report.config_echo)}
     doc["elapsed_ms"] = float(report.elapsed_ms)
     doc["seed"] = report.seed
-    return _fmt_json(doc, 0) + "\n"
+    return to_json_text(doc)
 
 
 def write_report(report: EstimateReport, path) -> None:

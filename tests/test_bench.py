@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -290,9 +292,9 @@ def reference_run_scenario(scenario, methods, ratios, trials):
     for method in methods:
         if method in bench.SOURCE_FREE:
             if method == estimator.METHOD_ID:
-                report = estimator.predict_accuracy(base_bundle, seed=scenario.seed)
+                report = estimator.predict_accuracy(base_bundle)
             else:
-                report = baselines.run_baseline(method, base_bundle, seed=scenario.seed)
+                report = baselines.run_baseline(method, base_bundle)
             ae = abs(report.predicted_accuracy - true_acc)
             for ratio in ratios:
                 rows.append((scenario.name, method, ratio, 0, ae))
@@ -311,7 +313,7 @@ def reference_run_scenario(scenario, methods, ratios, trials):
                                        class_count=scenario.class_count,
                                        target_features=data.target_x,
                                        val_logits=val_logits[idx], val_labels=data.val_y[idx])
-                report = baselines.run_baseline(method, bundle, seed=scenario.seed)
+                report = baselines.run_baseline(method, bundle)
                 ae = abs(report.predicted_accuracy - true_acc)
                 if len(idx) >= n_val:
                     full_run_ae = ae
@@ -340,6 +342,27 @@ class TestRunScenario:
             assert calls == want_calls
             calls.clear()
             assert any(ae is None for (_s, _m, r, _t, ae) in got[1] if r == 0.01)
+
+    def test_subsample_count_is_the_decimal_floor(self, monkeypatch):
+        # 0.29 * 100 is 28.999999999999996 in binary floating point
+        seen = []
+        real = baselines.run_baseline
+
+        def spy(method, bundle, *args, **kwargs):
+            seen.append(len(bundle.val_labels))
+            return real(method, bundle, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "run_baseline", spy)
+        scenario = dataclasses.replace(tiny_suite()[0], n_val=100)
+        bench.run_scenario(scenario, ["doc"], (0.29, 0.57), 1)
+        assert seen == [29, 57]
+
+    def test_subsample_size_matches_exact_fractions(self):
+        ratios = [i / 1000 for i in range(1, 1001)] + [1e-05, 1.5e-05, 5e-324, 0.1 + 0.2, 1 - 2**-53]
+        for n_val in (1, 7, 100, 150, 800, 1000, 12345):
+            for ratio in ratios:
+                want = math.floor(Fraction(repr(ratio)) * n_val)
+                assert bench.subsample_size(ratio, n_val) == want, (ratio, n_val)
 
 
 class TestRunSuite:

@@ -202,6 +202,17 @@ class TestBaseline:
         assert "val_logits" in err and "(0, 4)" in err
 
 
+@pytest.mark.parametrize("command", [["predict"], ["baseline", "--method", "ac"]],
+                         ids=["predict", "baseline"])
+@pytest.mark.parametrize("seed_flag, want", [(["--seed", "7"], 7), ([], None)],
+                         ids=["seed", "no-seed"])
+def test_cli_stamps_the_seed(tmp_path, logits_file, capsys, command, seed_flag, want):
+    out = tmp_path / "r.json"
+    argv = [*command, "--logits", str(logits_file), *seed_flag, "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["seed"] == want
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("argv, named", [
         (["predict", "--cov-jitter", "nan"], "cov_jitter"),

@@ -3,6 +3,7 @@ import pytest
 
 from sfpp.errors import ArrayFormatError, BundleValidationError
 from sfpp.ingest import (
+    DatasetBundle,
     EstimateReport,
     load_bundle,
     read_array,
@@ -91,6 +92,22 @@ class TestReadWriteArray:
         got = read_array(p)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, v.astype(np.float64))
+
+    @pytest.mark.parametrize("values, descr, shape, payload", [
+        (np.array([0.5, -2.0, 1e-300]), "<f8", b"(3,)", [0.5, -2.0, 1e-300]),
+        (np.arange(6.0).reshape(2, 3) / 7.0, "<f8", b"(2, 3)", np.arange(6.0) / 7.0),
+        (np.array([-3, 0, 2**40]), "<i8", b"(3,)", [-3, 0, 2**40]),
+        (np.arange(6, dtype=np.int32).reshape(3, 2), "<i8", b"(3, 2)", range(6)),
+        (np.zeros((0, 3)), "<f8", b"(0, 3)", []),
+        (np.asfortranarray(np.arange(6).reshape(2, 3)), "<i8", b"(2, 3)", range(6)),
+        (np.array([[True, False], [False, True]]), "<i8", b"(2, 2)", [1, 0, 0, 1]),
+    ], ids=["f8-rank1", "f8-rank2", "i8-rank1", "i8-rank2", "empty-rows", "fortran-int", "bool"])
+    def test_written_bytes_pinned(self, tmp_path, values, descr, shape, payload):
+        p = tmp_path / "a.npy"
+        write_array(p, values)
+        want = npy_bytes(descr=f"'{descr}'".encode(), shape=shape,
+                         payload=np.array(payload, dtype=descr).tobytes())
+        assert p.read_bytes() == want
 
     def test_header_is_64_byte_aligned(self, tmp_path):
         p = tmp_path / "a.npy"
@@ -256,6 +273,31 @@ class TestLoadBundle:
         assert "last_layer_bias" in str(info.value) and f"got shape {shape}" in str(info.value)
 
 
+class TestValidationSplitInCode:
+    """A bundle built in code meets the validation rules load_bundle applies,
+    with the same messages; estimators used to give wrong answers without them."""
+
+    @pytest.mark.parametrize("labels, message", [
+        (None, "val_logits and val_labels must be given together"),
+        (np.zeros(5, dtype=np.int64), "val_labels has 5 entries but val_logits has 20 rows"),
+        (np.array([7] + [0] * 19), r"val_labels must lie in [0, 4), found range [0, 7]"),
+    ], ids=["no-labels", "short-labels", "label-out-of-range"])
+    def test_rejected_in_code_and_from_arrays(self, labels, message):
+        rng = np.random.default_rng(79)
+        target, val = rng.normal(size=(50, 4)), rng.normal(size=(20, 4))
+        with pytest.raises(BundleValidationError) as in_code:
+            DatasetBundle(target_logits=target, class_count=4, val_logits=val, val_labels=labels)
+        with pytest.raises(BundleValidationError) as loaded:
+            load_bundle({"target_logits": target, "val_logits": val, "val_labels": labels})
+        assert str(in_code.value) == str(loaded.value) == message
+
+    def test_width_mismatch_rejected_in_code(self):
+        with pytest.raises(BundleValidationError,
+                           match="^val_logits has 3 columns but target_logits has 4$"):
+            DatasetBundle(target_logits=np.zeros((5, 4)), class_count=4,
+                          val_logits=np.zeros((2, 3)), val_labels=np.zeros(2, dtype=np.int64))
+
+
 class TestReports:
     def make_report(self):
         return EstimateReport(
@@ -309,11 +351,17 @@ class TestReports:
         with pytest.raises(ValueError):
             report_to_json(r)
 
-    def test_per_sample_arrays_match_recursive_rendering(self):
+    @pytest.mark.parametrize("as_given", [
+        lambda v: np.array(v, dtype=np.int8),
+        lambda v: np.array(v, dtype=np.int64),
+        lambda v: np.array(v, dtype=bool),
+        list,
+    ], ids=["int8", "int64", "bool", "list"])
+    def test_per_sample_arrays_match_recursive_rendering(self, as_given):
         edge = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
                 3.0, -7.0, 1.0 / 3.0, 2.0 ** 53, 0.1]
         pairs = np.array(edge + edge[::-1]).reshape(-1, 2)
-        correct = np.array([1, 0] * (pairs.shape[0] // 2) + [1] * (pairs.shape[0] % 2), dtype=np.int8)
+        correct = as_given([1, 0] * (pairs.shape[0] // 2) + [1] * (pairs.shape[0] % 2))
         r = EstimateReport(method="calibrated-gradnorm", predicted_accuracy=0.5,
                            n_samples=pairs.shape[0], per_sample_correct=correct,
                            grad_norm_pairs=pairs, config_echo={"mode": "bayes"})
