@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, estimator, ingest
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, SfppError
 from .ingest import DatasetBundle
 
 CLUSTER_SPREAD = 2.4  # standard deviation of the cluster-center draw
@@ -435,12 +435,20 @@ def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=DEFAULT_RATIOS,
                 f"of record {first_record[scenario.name]}")
         first_record[scenario.name] = i
 
+    def run(scenario):
+        """run_scenario, an error of the run prefixed with the scenario's name:
+        its record passed every field check, so the error alone names none."""
+        try:
+            return run_scenario(scenario, methods, ratios, trials)
+        except SfppError as exc:
+            raise type(exc)(f"scenario {scenario.name!r}: {exc}") from exc
+
     workers = min(worker_count(), len(scenarios)) or 1
     if workers == 1:
-        results = [run_scenario(s, methods, ratios, trials) for s in scenarios]
+        results = [run(s) for s in scenarios]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: run_scenario(s, methods, ratios, trials), scenarios))
+            results = list(pool.map(run, scenarios))
 
     rows = []
     scenario_meta = []

@@ -1,9 +1,11 @@
-"""Array file IO, bundle validation, and report serialization.
+"""Array file IO, the bundle's input contract, and report serialization.
 
 Supported array formats are a narrow NPY v1.0 subset (little-endian f4/f8/i8,
 C-order, rank 1 or 2) and plain CSV with an optional header line. Reports are
 written as JSON with a fixed key order and 17-significant-digit reals so a
-given report always serializes to the same bytes.
+given report always serializes to the same bytes. A `DatasetBundle` checks its
+arrays when it is built; `load_bundle` only reads them, and refuses an empty
+validation split.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import ast
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +25,31 @@ _NPY_MAGIC = b"\x93NUMPY"
 _READ_DTYPES = {"<f4": np.float32, "<f8": np.float64, "<i8": np.int64}
 
 
+def _as_2d(name: str, arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise BundleValidationError(f"{name} must be 2-D, got shape {arr.shape}")
+    return arr
+
+
+def _as_labels(name: str, arr) -> np.ndarray:
+    """A label vector, (n, 1) taken as (n,); floats must be integral and stay
+    floats until the range check, so 1e20 reads 1e+20 there, not a wrapped int."""
+    arr = np.asarray(arr)
+    if arr.ndim == 2 and arr.shape[1] == 1:
+        arr = arr[:, 0]
+    if arr.ndim != 1:
+        raise BundleValidationError(f"{name} must be a 1-D integer vector, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.all(arr == np.floor(arr)):
+        raise BundleValidationError(f"{name} holds non-integral values")
+    return arr
+
+
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything an estimator may consume. The validation split is checked
-    on construction, the other arrays by `load_bundle`."""
+    """Everything an estimator may consume, checked on construction however
+    it was built: arrays are stored as float64, labels as int64, and one
+    already in that dtype is kept, not copied."""
 
     target_logits: np.ndarray
     class_count: int
@@ -37,9 +60,41 @@ class DatasetBundle:
     val_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        """The validation split's own rules, which hold however the bundle
-        was built; they cost O(validation rows)."""
-        logits, labels, c = self.val_logits, self.val_labels, self.target_logits.shape[1]
+        """Every rule about the arrays, O(validation rows) beyond the casts. An
+        empty validation split passes: estimators that need one refuse it."""
+        logits = self._coerce("target_logits", _as_2d)
+        n_t, c = logits.shape
+        if n_t < 1 or c < 2:
+            raise BundleValidationError(
+                f"target_logits needs n>=1 samples and C>=2 classes, got {logits.shape}")
+        if self.class_count != c:
+            raise BundleValidationError(
+                f"class_count is {self.class_count} but target_logits has {c} columns")
+        features = self._coerce("target_features", _as_2d)
+        if features is not None and features.shape[0] != n_t:
+            raise BundleValidationError(
+                f"target_features has {features.shape[0]} rows but target_logits has {n_t}"
+            )
+        weights = self._coerce("last_layer_weights", _as_2d)
+        if weights is not None and weights.shape[0] != c:
+            raise BundleValidationError(
+                f"last_layer_weights has {weights.shape[0]} rows but target_logits implies C={c}"
+            )
+        if weights is not None and features is not None and weights.shape[1] != features.shape[1]:
+            raise BundleValidationError(
+                f"last_layer_weights width {weights.shape[1]} mismatches "
+                f"target_features width {features.shape[1]}"
+            )
+        if self.last_layer_bias is not None:
+            bias = np.asarray(self.last_layer_bias, dtype=np.float64)
+            if bias.shape not in ((c,), (1, c), (c, 1)):
+                raise BundleValidationError(
+                    f"last_layer_bias must be a length-C vector, one row or one column, "
+                    f"with C={c} from target_logits; got shape {bias.shape}"
+                )
+            object.__setattr__(self, "last_layer_bias", bias.reshape(-1))
+        logits = self._coerce("val_logits", _as_2d)
+        labels = self._coerce("val_labels", _as_labels)
         if (logits is None) != (labels is None):
             raise BundleValidationError("val_logits and val_labels must be given together")
         if logits is None:
@@ -54,9 +109,17 @@ class DatasetBundle:
                 f"{logits.shape[0]} rows"
             )
         if labels.size and (labels.min() < 0 or labels.max() >= c):
-            raise BundleValidationError(
-                f"val_labels must lie in [0, {c}), found range [{labels.min()}, {labels.max()}]"
-            )
+            lo, hi = (str(v).removesuffix(".0") for v in (labels.min(), labels.max()))
+            raise BundleValidationError(f"val_labels must lie in [0, {c}), found range [{lo}, {hi}]")
+        object.__setattr__(self, "val_labels", labels.astype(np.int64, copy=False))
+
+    def _coerce(self, name: str, convert):
+        """Field `name` through `convert(name, value)`, stored back; None stays None."""
+        value = getattr(self, name)
+        if value is not None:
+            value = convert(name, value)
+            object.__setattr__(self, name, value)
+        return value
 
     @property
     def n_target(self) -> int:
@@ -199,14 +262,7 @@ def write_array(path, values) -> None:
 
 # ----------------------------------------------------------------- bundles
 
-BUNDLE_KEYS = (
-    "target_logits",
-    "target_features",
-    "last_layer_weights",
-    "last_layer_bias",
-    "val_logits",
-    "val_labels",
-)
+BUNDLE_KEYS = tuple(f.name for f in fields(DatasetBundle) if f.name != "class_count")
 
 
 def read_manifest(path) -> dict:
@@ -231,82 +287,24 @@ def read_manifest(path) -> dict:
     return out
 
 
-def _as_2d(name: str, arr: np.ndarray) -> np.ndarray:
-    if arr.ndim != 2:
-        raise BundleValidationError(f"{name} must be 2-D, got shape {arr.shape}")
-    return np.asarray(arr, dtype=np.float64)
-
-
-def _as_labels(name: str, arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise BundleValidationError(f"{name} must be a 1-D integer vector, got shape {arr.shape}")
-    if np.issubdtype(arr.dtype, np.floating):
-        if not np.all(arr == np.floor(arr)):
-            raise BundleValidationError(f"{name} holds non-integral values")
-        arr = arr.astype(np.int64)
-    return np.asarray(arr, dtype=np.int64)
-
-
 def load_bundle(manifest: dict) -> DatasetBundle:
-    """Load arrays named by a manifest (key -> path or ndarray) and validate."""
+    """Read the arrays a manifest names (key -> path or ndarray) into a bundle,
+    which checks them; the validation split it loads must not be empty."""
     arrays = {}
     for key, value in manifest.items():
         if key not in BUNDLE_KEYS:
             raise BundleValidationError(f"unknown manifest key {key!r}")
-        if value is None:
-            continue
-        arrays[key] = value if isinstance(value, np.ndarray) else read_array(value)
+        if value is not None:
+            arrays[key] = value if isinstance(value, np.ndarray) else read_array(value)
     if "target_logits" not in arrays:
         raise BundleValidationError("manifest is missing the mandatory target_logits array")
-
-    logits = _as_2d("target_logits", arrays["target_logits"])
-    n_t, c = logits.shape
-    if n_t < 1 or c < 2:
-        raise BundleValidationError(f"target_logits needs n>=1 samples and C>=2 classes, got {logits.shape}")
-
-    features = weights = bias = val_logits = val_labels = None
-    if "target_features" in arrays:
-        features = _as_2d("target_features", arrays["target_features"])
-        if features.shape[0] != n_t:
-            raise BundleValidationError(
-                f"target_features has {features.shape[0]} rows but target_logits has {n_t}"
-            )
-    if "last_layer_weights" in arrays:
-        weights = _as_2d("last_layer_weights", arrays["last_layer_weights"])
-        if weights.shape[0] != c:
-            raise BundleValidationError(
-                f"last_layer_weights has {weights.shape[0]} rows but target_logits implies C={c}"
-            )
-        if features is not None and weights.shape[1] != features.shape[1]:
-            raise BundleValidationError(
-                f"last_layer_weights width {weights.shape[1]} mismatches "
-                f"target_features width {features.shape[1]}"
-            )
-    if "last_layer_bias" in arrays:
-        bias = np.asarray(arrays["last_layer_bias"], dtype=np.float64)
-        if bias.shape not in ((c,), (1, c), (c, 1)):
-            raise BundleValidationError(
-                f"last_layer_bias must be a length-C vector, one row or one column, "
-                f"with C={c} from target_logits; got shape {bias.shape}"
-            )
-        bias = bias.reshape(-1)
-    if "val_logits" in arrays:
-        val_logits = _as_2d("val_logits", arrays["val_logits"])
-        if val_logits.shape[0] < 1:
-            raise BundleValidationError(f"val_logits needs at least 1 row, got shape {val_logits.shape}")
-    if "val_labels" in arrays:
-        val_labels = _as_labels("val_labels", arrays["val_labels"])
-    return DatasetBundle(
-        target_logits=logits,
-        class_count=c,
-        target_features=features,
-        last_layer_weights=weights,
-        last_layer_bias=bias,
-        val_logits=val_logits,
-        val_labels=val_labels,
-    )
+    logits = arrays["target_logits"]
+    # the bundle checks the shape, so below rank 2 any width will do here
+    bundle = DatasetBundle(class_count=logits.shape[-1] if logits.ndim else 0, **arrays)
+    if bundle.val_logits is not None and len(bundle.val_logits) < 1:
+        raise BundleValidationError(
+            f"val_logits needs at least 1 row, got shape {bundle.val_logits.shape}")
+    return bundle
 
 
 # ----------------------------------------------------------------- reports

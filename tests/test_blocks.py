@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sfpp import baselines, calibrator, estimator, numerics
-from sfpp.ingest import DatasetBundle, report_to_json
+from sfpp.ingest import BUNDLE_KEYS, DatasetBundle, load_bundle, report_to_json
 
 # 128 classes give 2048-row blocks: three blocks and a 300-row tail.
 MULTI_C = 128
@@ -211,6 +211,16 @@ class TestPeakMemory:
             lambda: baselines.run_baseline(method, tall))
         peak = self.peak_bytes(run)
         assert peak < 0.5 * tall.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("build", ["in-code", "manifest"])
+    def test_bundle_copies_no_array(self, tall, build):
+        """The bundle keeps <f8 and <i8 arrays as given: building it peaks at
+        1.6 KB, and a copy of its smallest array, the 5000 labels, would show."""
+        given = {f.name: getattr(tall, f.name) for f in dataclasses.fields(DatasetBundle)}
+        run = (lambda: DatasetBundle(**given)) if build == "in-code" else (
+            lambda: load_bundle({key: given[key] for key in BUNDLE_KEYS}))
+        peak = self.peak_bytes(run)
+        assert peak < tall.val_labels.nbytes, f"building peaked at {peak} bytes"
 
     @pytest.mark.parametrize("with_head, blocks", [(False, 2.5), (True, 3.5)])
     def test_gradient_norms_hold_one_block_at_a_time(self, tall, with_head, blocks):

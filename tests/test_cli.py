@@ -12,6 +12,7 @@ import pytest
 import sfpp
 from sfpp import baselines, bench, calibrator, estimator
 from sfpp.cli import _config_from_args, build_parser, main
+from sfpp.errors import DegenerateInputError
 from sfpp.ingest import write_array
 
 
@@ -200,6 +201,18 @@ class TestBaseline:
         assert code == 2
         err = capsys.readouterr().err
         assert "val_logits" in err and "(0, 4)" in err
+
+    @pytest.mark.filterwarnings("error")  # no cast of 1e20 to int64
+    def test_label_beyond_int64_named_as_read_exit_2(self, tmp_path, logits_file, capsys):
+        v, y = tmp_path / "v.npy", tmp_path / "y.csv"
+        write_array(v, np.zeros((4, 3)))
+        y.write_text("label\n0\n1\n1e20\n2\n")
+        code = main(["baseline", "--method", "doc", "--logits", str(logits_file),
+                     "--val-logits", str(v), "--val-labels", str(y),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: val_labels must lie in [0, 3), found range [0, 1e+20]\n")
 
 
 @pytest.mark.parametrize("command", [["predict"], ["baseline", "--method", "ac"]],
@@ -493,6 +506,29 @@ class TestBench:
         doc = bench.scenario_to_dict(bench.default_suite(0)[0])
         doc["n_target"] = bench.MAX_SPLIT_FLOATS // doc["feature_dim"]
         assert bench.scenario_from_dict(doc).n_target == doc["n_target"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training overflows first
+    @pytest.mark.parametrize("field, value, message", [
+        ("cluster_spread", 1e200, "logits contain non-finite entries"),
+        ("learning_rate", 1e300,
+         "logits of shape (12, 3) are too large: their covariance overflows"),
+    ])
+    def test_mid_run_failure_names_the_scenario_exit_2(self, tmp_path, capsys,
+                                                       field, value, message):
+        """A record that passes every field check and fails only in the run
+        keeps its error's type and exit code, prefixed with its name."""
+        suite = one_record_suite_file(tmp_path, "far")
+        doc = dict(json.loads(suite.read_text())[0], n_train=20, n_val=10, n_target=12,
+                   iterations=5, **{field: value})
+        suite.write_text(json.dumps([doc]))
+        code = main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", estimator.METHOD_ID, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: scenario 'far': {message}\n"
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(DegenerateInputError, match="^scenario 'far': "):
+            bench.run_suite([bench.scenario_from_dict(doc)], methods=[estimator.METHOD_ID],
+                            inclusion_ratios=[1.0], trials=1)
 
 
 class TestDumpCalibration:

@@ -3,6 +3,7 @@ import pytest
 
 from sfpp.errors import ArrayFormatError, BundleValidationError
 from sfpp.ingest import (
+    BUNDLE_KEYS,
     DatasetBundle,
     EstimateReport,
     load_bundle,
@@ -274,22 +275,43 @@ class TestLoadBundle:
 
 
 class TestValidationSplitInCode:
-    """A bundle built in code meets the validation rules load_bundle applies,
-    with the same messages; estimators used to give wrong answers without them."""
+    """A bundle built in code meets every rule load_bundle applies, with the
+    same messages; estimators used to give wrong answers without them."""
 
-    @pytest.mark.parametrize("labels, message", [
-        (None, "val_logits and val_labels must be given together"),
-        (np.zeros(5, dtype=np.int64), "val_labels has 5 entries but val_logits has 20 rows"),
-        (np.array([7] + [0] * 19), r"val_labels must lie in [0, 4), found range [0, 7]"),
-    ], ids=["no-labels", "short-labels", "label-out-of-range"])
-    def test_rejected_in_code_and_from_arrays(self, labels, message):
+    @pytest.mark.parametrize("given, message", [
+        ({"val_labels": None}, "val_logits and val_labels must be given together"),
+        ({"val_labels": np.zeros(5, dtype=np.int64)},
+         "val_labels has 5 entries but val_logits has 20 rows"),
+        ({"val_labels": np.array([7] + [0] * 19)},
+         "val_labels must lie in [0, 4), found range [0, 7]"),
+        ({"target_features": np.zeros((49, 3))},
+         "target_features has 49 rows but target_logits has 50"),
+        ({"last_layer_weights": np.zeros((3, 6))},
+         "last_layer_weights has 3 rows but target_logits implies C=4"),
+        ({"target_features": np.zeros((50, 5)), "last_layer_weights": np.zeros((4, 6))},
+         "last_layer_weights width 6 mismatches target_features width 5"),
+        ({"last_layer_bias": np.zeros((2, 2))},
+         "last_layer_bias must be a length-C vector, one row or one column, "
+         "with C=4 from target_logits; got shape (2, 2)"),
+        ({"class_count": 3}, "class_count is 3 but target_logits has 4 columns"),
+        ({"val_logits": np.zeros(20)}, "val_logits must be 2-D, got shape (20,)"),
+        ({"val_labels": np.full(20, 0.5)}, "val_labels holds non-integral values"),
+    ], ids=["no-labels", "short-labels", "label-out-of-range", "features-rows",
+            "weights-rows", "weights-width", "bias-shape", "class-count", "1-d-val-logits",
+            "half-labels"])
+    def test_rejected_in_code_and_from_arrays(self, given, message):
         rng = np.random.default_rng(79)
-        target, val = rng.normal(size=(50, 4)), rng.normal(size=(20, 4))
+        fields = {"target_logits": rng.normal(size=(50, 4)), "class_count": 4,
+                  "val_logits": rng.normal(size=(20, 4)),
+                  "val_labels": rng.integers(0, 4, 20), **given}
         with pytest.raises(BundleValidationError) as in_code:
-            DatasetBundle(target_logits=target, class_count=4, val_logits=val, val_labels=labels)
+            DatasetBundle(**fields)
+        assert str(in_code.value) == message
+        if "class_count" in given:  # load_bundle takes C from target_logits
+            return
         with pytest.raises(BundleValidationError) as loaded:
-            load_bundle({"target_logits": target, "val_logits": val, "val_labels": labels})
-        assert str(in_code.value) == str(loaded.value) == message
+            load_bundle({key: fields.get(key) for key in BUNDLE_KEYS})
+        assert str(loaded.value) == message
 
     def test_width_mismatch_rejected_in_code(self):
         with pytest.raises(BundleValidationError,
