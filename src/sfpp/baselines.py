@@ -34,6 +34,9 @@ SOURCE_BASED_METHODS = (*ATC_METHODS, "doc", "cot")
 OT_EPSILON = 1e-2
 OT_MAX_ITERS = 20000
 OT_TOL = 1e-8
+# Widest cost range within one row that a solve takes: exp(spread / OT_EPSILON)
+# stays below the largest double, so the scaling form's t and a / t stay finite.
+OT_MAX_SPREAD = OT_EPSILON * math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,15 @@ def _check_temperature(name: str, value: float) -> None:
 
 
 def _scaled(logits, name: str, temperature: float):
-    """logits / temperature and its row maxima; a non-finite maximum means
-    the division overflowed, and raises DegenerateInputError naming `name`."""
+    """logits / temperature and its row maxima. A non-finite maximum raises
+    DegenerateInputError: naming the logits if they hold NaN or Inf (checked
+    on this path only), else naming `name`, whose division overflowed."""
     with np.errstate(over="ignore"):
         z = np.asarray(logits, dtype=np.float64) / temperature
     top = z.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(top)):
+        if not np.all(np.isfinite(logits)):
+            raise DegenerateInputError("logits contain non-finite entries")
         raise DegenerateInputError(f"{name} {temperature!r} overflows logits / {name}")
     return z, top
 
@@ -196,19 +202,43 @@ def doc(bundle: DatasetBundle) -> EstimateReport:
 
 # ------------------------------------------------------------------ sinkhorn
 
-def _semi_dual(cost, a, b, g):
-    """Semi-dual objective at class potentials g, its row softmax and residual.
+def _kernel(cost: np.ndarray):
+    """The class-major kernel K = exp(-(cost - rowmin) / OT_EPSILON) of the
+    scaling form, and the row minima; refuses a row whose cost spread is
+    past ``OT_MAX_SPREAD`` (or not a number) before any exponential."""
+    kernel = np.empty(cost.shape[::-1])
+    np.copyto(kernel, cost.T)
+    row_min = kernel.min(axis=0)
+    spread = kernel.max(axis=0) - row_min
+    over = ~(spread <= OT_MAX_SPREAD)  # a NaN spread too
+    if over.any():
+        row = int(np.argmax(over))
+        raise DegenerateInputError(
+            f"cost row {row} spans {spread[row]:.6g}, past the largest spread "
+            f"{OT_MAX_SPREAD:.6g} the transport solve takes at epsilon {OT_EPSILON}"
+        )
+    np.subtract(row_min, kernel, out=kernel)
+    kernel /= OT_EPSILON
+    np.exp(kernel, out=kernel)
+    return kernel, row_min
 
-    The row potentials are eliminated in closed form, so each row of the
-    plan is ``a_i`` times the softmax ``s`` of ``(g - cost_i) / OT_EPSILON``.
-    The objective's gradient in g is the negated column residual.
+
+def _semi_dual(kernel, row_min, a, b, g):
+    """Semi-dual objective at class potentials g, and its state and residual.
+
+    With u = exp((g - max g) / OT_EPSILON) and t = u @ K, each row of the
+    plan is a_i u_j K_ji / t_i, and its log-normaliser is
+    lse = log t + (max g - rowmin) / OT_EPSILON. The objective's gradient
+    in g is the negated column residual u (K @ (a / t)) - b.
     """
-    z = (g[None, :] - cost) / OT_EPSILON
-    lse = numerics.logsumexp(z, axis=1)
-    z -= lse[:, None]
-    s = np.exp(z, out=z)
+    top = float(g.max())
+    u = np.exp((g - top) / OT_EPSILON)
+    t = u @ kernel
+    lse = np.log(t)
+    lse += (top - row_min) / OT_EPSILON
     value = float(-OT_EPSILON * np.dot(a, lse) + np.dot(b, g))
-    return value, s, a @ s - b, lse
+    column = u * (kernel @ (a / t))
+    return value, (u, t, lse, column), column - b
 
 
 def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -229,41 +259,67 @@ def sinkhorn_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     mass underflows and zeroes its Hessian row. The solve ends once the
     residual is below ``OT_TOL / 10``, ``OT_MAX_ITERS`` steps are accepted or the
     damping exceeds 1e12; the marginal check then decides.
+
+    Each evaluation runs in the scaling domain (Cuturi 2013). The kernel
+    K = exp(-(cost - rowmin) / eps) is formed once, class-major (m, n).
+    With u = exp((g - max g) / eps) and t = u @ K, an evaluation costs m
+    exponentials, two matrix-vector products and n logarithms:
+    lse = log t + (max g - rowmin) / eps, and the column marginals are
+    u (K @ (a / t)). The Hessian is (diag(col) - P P^T) / eps with
+    P_ji = u_j K_ji sqrt(a_i) / t_i, whose entries are at most sqrt(a_i).
+    Spread bound: max u = 1, so t_i >= exp(-spread_i / eps), where
+    spread_i is the cost range of row i, and t and a / t stay finite while
+    every spread is at most ``OT_MAX_SPREAD`` = eps ln(largest double),
+    about 7.1 (709.78 eps); a row past it raises, naming its spread. cot's
+    costs lie in [0, 1]. This is the stabilisation argument of Schmitzer
+    (2019), which holds here without absorption steps.
     """
     n, m = cost.shape
     if a.shape != (n,) or b.shape != (m,):
         raise DegenerateInputError("marginal weights do not match the cost matrix")
+    kernel, row_min = _kernel(cost)
+    scaled = np.empty_like(kernel)  # the Hessian's and the plan's scaled kernel
+    root_a = np.sqrt(a)
     g = OT_EPSILON * np.log(b)
-    value, s, residual, lse = _semi_dual(cost, a, b, g)
+    value, state, residual = _semi_dual(kernel, row_min, a, b, g)
+    hess = None
     lam = 1e-6
     spent = 0
     while spent < OT_MAX_ITERS and lam <= 1e12:
         slack = float(np.abs(residual).sum())
         if slack < 0.1 * OT_TOL:
             break
-        hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / OT_EPSILON
+        if hess is None:  # a rejected step leaves g, and so the Hessian, as it was
+            u, t, _, column = state
+            np.multiply(kernel, u[:, None], out=scaled)
+            scaled *= root_a / t
+            hess = np.diag(column) - scaled @ scaled.T
+            hess /= OT_EPSILON
         trial = g + np.linalg.solve(hess + lam * np.eye(m), -residual)
-        t_value, t_s, t_residual, t_lse = _semi_dual(cost, a, b, trial)
+        t_value, t_state, t_residual = _semi_dual(kernel, row_min, a, b, trial)
         band = 4.0 * np.finfo(np.float64).eps * abs(value)
         if t_value - value > band or (
             t_value - value >= -band and float(np.abs(t_residual).sum()) < slack
         ):
-            g, value, s, residual, lse = trial, t_value, t_s, t_residual, t_lse
+            g, value, state, residual = trial, t_value, t_state, t_residual
+            hess = None
             lam = max(lam / 3.0, 1e-12)
             spent += 1
         else:
             lam *= 10.0
+    u, t, lse, _ = state
     f = OT_EPSILON * (np.log(a) - lse)
-    plan = np.exp((f[:, None] + g[None, :] - cost) / OT_EPSILON)
+    plan_t = np.multiply(kernel, u[:, None], out=scaled)  # a_i u_j K_ji / t_i
+    plan_t *= a / t
     violation = max(
-        float(np.abs(plan.sum(axis=1) - a).sum()),
-        float(np.abs(plan.sum(axis=0) - b).sum()),
+        float(np.abs(plan_t.sum(axis=0) - a).sum()),
+        float(np.abs(plan_t.sum(axis=1) - b).sum()),
     )
     if violation >= OT_TOL:
         raise ConvergenceError(
             f"transport solve did not converge; marginal violation {violation:.3e}"
         )
-    return float(np.sum(plan * cost)), (f, g), spent
+    return float(np.einsum("ji,ij->", plan_t, cost)), (f, g), spent
 
 
 def cot(bundle: DatasetBundle) -> EstimateReport:

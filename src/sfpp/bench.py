@@ -121,8 +121,10 @@ def _jump_tables() -> np.ndarray:
 
 
 def _mapped(fn, values: np.ndarray) -> np.ndarray:
-    """fn of each element through libm, as the scalar generator computes it."""
-    return np.fromiter(map(fn, values), dtype=np.float64, count=len(values))
+    """fn of each element of a contiguous float64 vector through libm, as the
+    scalar generator computes it; a memoryview yields Python floats, not
+    numpy scalars."""
+    return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=len(values))
 
 
 class _XorshiftBlocks:
@@ -156,8 +158,10 @@ class _XorshiftBlocks:
         while filled < count:
             if self._used == _BLOCK:
                 state_bytes = self._block.astype("<u8").view(np.uint8).reshape(_BLOCK, 8)
-                self._block = np.bitwise_xor.reduce(
-                    _jump_tables()[np.arange(8), state_bytes], axis=1)
+                tables = _jump_tables()
+                self._block = tables[0][state_bytes[:, 0]]
+                for k in range(1, 8):  # one byte column at a time: XOR is exact in any order
+                    self._block ^= tables[k][state_bytes[:, k]]
                 self._used = 0
             take = min(count - filled, _BLOCK - self._used)
             out[filled:filled + take] = self._block[self._used:self._used + take]
@@ -271,6 +275,36 @@ def generate(scenario: BenchScenario) -> GeneratedData:
     return GeneratedData(train_x, train_y, val_x, val_y, target_x, target_y)
 
 
+def _class_sums(s: np.ndarray, out: np.ndarray, acc: np.ndarray) -> None:
+    """Per-column sums of class-major `s` (m, n) into `out`, each added in the
+    order numpy's pairwise sum adds a contiguous row of m: below 8 terms a
+    plain chain; up to 128 eight running sums, folded as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms past the last full
+    eight; above 128 the sum of two halves, the first a multiple of 8 long.
+    `acc` is an (8, n) scratch buffer."""
+    m = s.shape[0]
+    if m < 8:
+        np.copyto(out, s[0])
+        for row in s[1:]:
+            out += row
+    elif m <= 128:
+        full = m - m % 8
+        np.copyto(acc, s[:8])
+        for i in range(8, full, 8):
+            acc += s[i:i + 8]
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
+            acc[i] += acc[j]  # row by row: a strided in-place add would copy
+        np.add(acc[0], acc[4], out=out)
+        for row in s[full:]:
+            out += row
+    else:
+        half = m // 2 - m // 2 % 8
+        rest = np.empty_like(out)
+        _class_sums(s[:half], out, acc)
+        _class_sums(s[half:], rest, acc)
+        out += rest
+
+
 def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
                      learning_rate: float, iterations: int):
     """Multinomial logistic regression by full-batch gradient descent.
@@ -278,36 +312,51 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
     Parameters start at zero, the step size is fixed, and every pass uses
     the whole batch, so the run is deterministic and the loss sequence is
     non-increasing for sane step sizes.
+
+    Each step rounds exactly as the plain loop ``z = x @ w.T + b``; softmax
+    of z along its rows; ``g = (softmax - onehot) / n``;
+    ``w -= lr * (g.T @ x)``; ``b -= lr * g.sum(axis=0)``. Both matrix
+    products are those two calls. The softmax runs on a class-major (C, n)
+    copy of z, so its passes go over rows of length n, not n rows of
+    length C, and reproduces three reduction orders: the row maximum is a
+    maximum over axis 0 (exact in any order), the row sums add in numpy's
+    pairwise order (`_class_sums`), and the bias gradient sums a row-major
+    g over its rows one after another, as ``g.sum(axis=0)`` does.
+    Overflow is not reported here: a run that leaves the float range
+    yields non-finite logits, which the estimators refuse.
     """
     n, d = x.shape
     w = np.zeros((class_count, d))
     b = np.zeros(class_count)
-    label_flat = np.arange(n) * class_count + y  # label positions in s.ravel()
-    s = np.empty((n, class_count))
+    label_flat = y * n + np.arange(n)  # label positions in s.ravel()
+    z = np.empty((n, class_count))
+    s = np.empty((class_count, n))
     s_flat = s.reshape(-1)
+    g = np.empty((n, class_count))
     row_max = np.empty(n)
-    row_sum = np.empty((n, 1))
+    row_sum = np.empty(n)
+    acc = np.empty((8, n))
     grad_w = np.empty((class_count, d))
     grad_b = np.empty(class_count)
-    for _ in range(iterations):
-        np.matmul(x, w.T, out=s)
-        s += b
-        # a max is exact in any order, and column by column is the cheap one
-        np.copyto(row_max, s[:, 0])
-        for j in range(1, class_count):
-            np.maximum(row_max, s[:, j], out=row_max)
-        s -= row_max[:, None]
-        np.exp(s, out=s)
-        np.sum(s, axis=1, keepdims=True, out=row_sum)
-        s /= row_sum
-        s_flat[label_flat] -= 1.0
-        s /= n  # s now holds the gradient of the mean loss in the logits
-        np.matmul(s.T, x, out=grad_w)
-        grad_w *= learning_rate
-        w -= grad_w
-        np.sum(s, axis=0, out=grad_b)
-        grad_b *= learning_rate
-        b -= grad_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            np.matmul(x, w.T, out=z)
+            np.copyto(s, z.T)
+            s += b[:, None]
+            np.maximum.reduce(s, axis=0, out=row_max)
+            s -= row_max
+            np.exp(s, out=s)
+            _class_sums(s, row_sum, acc)
+            s /= row_sum
+            s_flat[label_flat] -= 1.0
+            np.copyto(g, s.T)
+            g /= n  # g now holds the gradient of the mean loss in the logits
+            np.matmul(g.T, x, out=grad_w)
+            grad_w *= learning_rate
+            w -= grad_w
+            np.einsum("ij->j", g, out=grad_b)  # g.sum(axis=0)'s order, at a third of its cost
+            grad_b *= learning_rate
+            b -= grad_b
     return w, b
 
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfpp import bench
+from sfpp import baselines, bench, numerics
 from sfpp.baselines import (
+    OT_EPSILON,
+    OT_MAX_ITERS,
+    OT_MAX_SPREAD,
+    OT_TOL,
     SOURCE_BASED_METHODS,
     ac,
     atc,
@@ -298,6 +302,45 @@ class TestCot:
             cot(bundle_from(np.zeros((4, 2))))
 
 
+def reference_semi_dual(cost, a, b, g):
+    """The log-domain semi-dual: row softmax of (g - cost) / eps by logsumexp."""
+    z = (g[None, :] - cost) / OT_EPSILON
+    lse = numerics.logsumexp(z, axis=1)
+    z -= lse[:, None]
+    s = np.exp(z, out=z)
+    value = float(-OT_EPSILON * np.dot(a, lse) + np.dot(b, g))
+    return value, s, a @ s - b, lse
+
+
+def reference_sinkhorn_cost(cost, a, b):
+    """The damped Newton solve of ``sinkhorn_cost`` on the log-domain semi-dual,
+    with n x m temporaries per evaluation; returns (cost, iterations)."""
+    m = cost.shape[1]
+    g = OT_EPSILON * np.log(b)
+    value, s, residual, lse = reference_semi_dual(cost, a, b, g)
+    lam = 1e-6
+    spent = 0
+    while spent < OT_MAX_ITERS and lam <= 1e12:
+        slack = float(np.abs(residual).sum())
+        if slack < 0.1 * OT_TOL:
+            break
+        hess = (np.diag(a @ s) - (s * a[:, None]).T @ s) / OT_EPSILON
+        trial = g + np.linalg.solve(hess + lam * np.eye(m), -residual)
+        t_value, t_s, t_residual, t_lse = reference_semi_dual(cost, a, b, trial)
+        band = 4.0 * np.finfo(np.float64).eps * abs(value)
+        if t_value - value > band or (
+            t_value - value >= -band and float(np.abs(t_residual).sum()) < slack
+        ):
+            g, value, s, residual, lse = trial, t_value, t_s, t_residual, t_lse
+            lam = max(lam / 3.0, 1e-12)
+            spent += 1
+        else:
+            lam *= 10.0
+    f = OT_EPSILON * (np.log(a) - lse)
+    plan = np.exp((f[:, None] + g[None, :] - cost) / OT_EPSILON)
+    return float(np.sum(plan * cost)), spent
+
+
 class TestSinkhorn:
     def test_simple_two_by_two(self):
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -305,6 +348,47 @@ class TestSinkhorn:
         b = np.array([0.5, 0.5])
         got, _, _ = sinkhorn_cost(cost, a, b)
         assert got == pytest.approx(0.0, abs=1e-8)
+
+    def test_spread_past_the_limit_named(self):
+        cost = np.array([[0.0, 1.0], [0.5, 0.5 + 1.01 * OT_MAX_SPREAD], [1.0, 0.0]])
+        a = np.full(3, 1.0 / 3.0)
+        b = np.array([0.5, 0.5])
+        spread = f"{1.01 * OT_MAX_SPREAD:.6g}"
+        with pytest.raises(DegenerateInputError, match=f"^cost row 1 spans {spread}, "):
+            sinkhorn_cost(cost, a, b)
+        assert 7.0 < OT_MAX_SPREAD < 745 * OT_EPSILON
+
+    def test_spread_inside_the_limit_solved(self):
+        # the kernel's smallest entry is exp(-695.6), about 8e-303
+        cost = np.array([[0.0, 0.98 * OT_MAX_SPREAD], [0.98 * OT_MAX_SPREAD, 0.0]])
+        got, _, _ = sinkhorn_cost(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert got == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_finite_cost_named(self):
+        cost = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(DegenerateInputError, match="^cost row 1 spans nan, "):
+            sinkhorn_cost(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    def test_scaling_form_matches_log_domain_on_default_suite(self, monkeypatch):
+        # every cot solve of a one-trial default-suite run at seed 0
+        calls = []
+        solve = baselines.sinkhorn_cost
+
+        def recording(cost, a, b):
+            out = solve(cost, a, b)
+            calls.append((cost.copy(), a, b, out))
+            return out
+
+        monkeypatch.setattr(baselines, "sinkhorn_cost", recording)
+        bench.run_suite(bench.default_suite(0), methods=["cot"], trials=1)
+        assert len(calls) == 80
+        steps = 0
+        for cost, a, b, (got, _, spent) in calls:
+            want, want_spent = reference_sinkhorn_cost(cost, a, b)
+            assert spent == want_spent
+            assert abs(got - want) <= 1e-12
+            steps += spent
+        assert steps == 1150
 
 
 def bench_cot_bundle(suite_seed, scenario_name, ratio_index, ratio):
@@ -383,6 +467,15 @@ class TestRegistry:
             r = run_baseline(method, b)
             assert 0.0 <= r.predicted_accuracy <= 1.0
             assert r.method == method
+
+    @pytest.mark.parametrize("method", ["ac", "doc", "atc-prob", "gradnorm", "cot"])
+    def test_non_finite_logits_named(self, method):
+        # a bundle built in code holds what it is given; the softmax names the logits
+        target = np.random.default_rng(331).normal(size=(5, 3))
+        target[2, 1] = np.nan
+        b = bundle_from(target, np.eye(3), [0, 1, 2])
+        with pytest.raises(DegenerateInputError, match="^logits contain non-finite entries$"):
+            run_baseline(method, b)
 
     def test_unknown_method(self):
         b = bundle_from(np.zeros((4, 2)))

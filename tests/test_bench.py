@@ -208,6 +208,30 @@ class TestTrainClassifier:
         assert w.tobytes() == ref_w.tobytes()
         assert b.tobytes() == ref_b.tobytes()
 
+    @pytest.mark.parametrize("class_count", [2, 3, 7, 8, 9, 15, 16, 17, 24, 25, 40, 129, 200])
+    def test_equals_reference_loop_bitwise_across_shapes(self, class_count):
+        # class counts on each side of the pairwise sum's 8-term blocks and its
+        # 128-term recursion; feature widths of 5, 18 and 64 columns
+        rng = np.random.default_rng(class_count)
+        d = (5, 18, 64)[class_count % 3]
+        for n in (1, 7, 301, 1200):
+            x = 2.0 * rng.normal(size=(n, d))
+            y = rng.integers(0, class_count, size=n)
+            args = (x, y, class_count, 1.0, 30)
+            w, b = bench.train_classifier(*args)
+            ref_w, ref_b, _ = reference_train(*args)
+            assert w.tobytes() == ref_w.tobytes(), n
+            assert b.tobytes() == ref_b.tobytes(), n
+
+    def test_class_sums_add_in_numpys_pairwise_order(self):
+        rng = np.random.default_rng(17)
+        acc = np.empty((8, 5))
+        for m in [*range(1, 300), 1000]:
+            rows = rng.random((5, m))
+            out = np.empty(5)
+            bench._class_sums(np.ascontiguousarray(rows.T), out, acc)
+            assert out.tobytes() == rows.sum(axis=1).tobytes(), m
+
     def test_wide_scenario_golden(self):
         scenario = bench.default_suite(0)[10]
         data = bench.generate(scenario)

@@ -530,6 +530,22 @@ class TestBench:
             bench.run_suite([bench.scenario_from_dict(doc)], methods=[estimator.METHOD_ID],
                             inclusion_ratios=[1.0], trials=1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [estimator.METHOD_ID, "ac", "cot"])
+    def test_far_clusters_warn_nothing_exit_2(self, tmp_path, capsys, method):
+        """Training that leaves the float range warns nothing, and every
+        estimator names the non-finite logits (the baselines' softmax as the
+        calibrator does, not as an overflowing temperature)."""
+        suite = one_record_suite_file(tmp_path, "far")
+        doc = dict(json.loads(suite.read_text())[0], n_train=20, n_val=10, n_target=12,
+                   cluster_spread=1e200)
+        suite.write_text(json.dumps([doc]))
+        code = main(["bench", "--suite", str(suite), "--ratios", "1.0", "--trials", "1",
+                     "--methods", method, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: scenario 'far': logits contain non-finite entries\n")
+
 
 class TestDumpCalibration:
     def test_writes_four_arrays(self, tmp_path, logits_file, capsys):
