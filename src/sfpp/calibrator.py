@@ -80,11 +80,29 @@ class GaussianModel:
         centered = self.means - self.center
         return self.log_priors - 0.5 * np.einsum("jk,kj->j", centered, self.weights)
 
+    def discriminant(self) -> Discriminant:
+        """The center, A and beta: all that the posterior reads."""
+        return Discriminant(center=self.center, weights=self.weights, offsets=self.offsets)
+
+
+@dataclass(frozen=True)
+class Discriminant:
+    """A model's center, A and beta: ``posterior_matrix`` takes it in place
+    of the model, which can then be freed with its means and factor."""
+
+    center: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def class_count(self) -> int:
+        return self.weights.shape[0]
+
 
 def pseudo_labels(logits) -> np.ndarray:
     """Per-row argmax; ties break toward the lowest class index."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not numerics.all_finite(logits):
         raise DegenerateInputError("logits contain non-finite entries")
     return np.argmax(logits, axis=1)
 
@@ -125,7 +143,7 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
 
     with np.errstate(over="ignore", invalid="ignore"):
         cov = numerics.covariance(logits)
-    if not np.all(np.isfinite(cov)):
+    if not numerics.all_finite(cov):
         raise DegenerateInputError(
             f"logits of shape {logits.shape} are too large: their covariance overflows"
         )
@@ -144,12 +162,17 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     # log prior_i = -log sum_{j != i} N(mu_i; mu_j, Sigma), with the scaled
     # squared Mahalanobis distances expanded as q_i + q_j - 2 mu_i^T A_j
     # about the mean of the means. A is formed first, so that no other C x C
-    # temporary is alive while it is.
+    # temporary is alive while it is; the pair terms are then built in the
+    # buffer of the cross terms, in the order of
+    # -0.5 * (log_det + C ln 2pi + max(q_i + q_j - 2 cross_ij, 0)).
     weights = model.weights
-    cross = (means - model.center) @ weights
-    q = np.diag(cross)
-    d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
-    pair_logs = -0.5 * (factor.log_det + c * numerics.LN_2PI + d2)
+    pair_logs = (means - model.center) @ weights
+    q = pair_logs.diagonal().copy()
+    pair_logs *= 2.0
+    np.subtract(np.add.outer(q, q), pair_logs, out=pair_logs)
+    np.maximum(pair_logs, 0.0, out=pair_logs)
+    pair_logs += factor.log_det + c * numerics.LN_2PI
+    pair_logs *= -0.5
     np.fill_diagonal(pair_logs, -np.inf)
     np.negative(numerics.logsumexp(pair_logs, axis=1), out=log_priors)
     if np.any(np.isnan(log_priors)):
@@ -157,7 +180,7 @@ def fit(logits, config: CalibratorConfig = CalibratorConfig()) -> GaussianModel:
     return model
 
 
-def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
+def log_posterior_matrix(model: GaussianModel | Discriminant, x, mode: str = "bayes") -> np.ndarray:
     """Row-normalized log posteriors for a batch of logit rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -166,16 +189,17 @@ def log_posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.nda
         raise DegenerateInputError(
             f"rows have width {x.shape[1]}, model has {model.class_count} classes"
         )
-    if not np.all(np.isfinite(x)):
+    if not numerics.all_finite(x):
         raise DegenerateInputError("logit rows contain non-finite entries")
     if mode not in MODES:
         raise DegenerateInputError(f"mode must be one of {MODES}, got {mode!r}")
     scores = (x - model.center) @ model.weights
     scores += model.offsets
-    if np.any(np.isnan(scores)):
+    # a NaN makes the maximum NaN; an empty block goes on to logsumexp's check
+    if scores.size and np.isnan(scores.max()):
         raise NumericalError("NaN in intermediate discriminant scores")
     scores -= numerics.logsumexp(scores, axis=1)[:, None]
-    if np.any(np.isnan(scores)):
+    if np.isnan(scores.max()):
         raise NumericalError("NaN in normalized log posteriors")
     return scores
 
@@ -185,7 +209,7 @@ def log_posterior(model: GaussianModel, x) -> np.ndarray:
     return log_posterior_matrix(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def posterior_matrix(model: GaussianModel, x, mode: str = "bayes") -> np.ndarray:
+def posterior_matrix(model: GaussianModel | Discriminant, x, mode: str = "bayes") -> np.ndarray:
     """exp of the log posteriors, renormalized so each row sums to exactly 1."""
     p = log_posterior_matrix(model, x, mode)
     np.exp(p, out=p)

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, bench, calibrator, estimator, ingest
+from . import baselines, bench, calibrator, estimator, ingest, numerics
 from .errors import InputError, MissingValidationDataError, NumericalError
 
 ALL_BASELINES = baselines.SOURCE_FREE_METHODS + baselines.SOURCE_BASED_METHODS
@@ -102,15 +102,18 @@ def cmd_bench(args) -> int:
 def cmd_dump_calibration(args) -> int:
     bundle = _bundle_from_args(args)
     config = _config_from_args(calibrator.CalibratorConfig, args)
-    model = calibrator.fit(bundle.target_logits, config)
-    posteriors = calibrator.posterior_matrix(model, bundle.target_logits)
+    z = bundle.target_logits
+    model = calibrator.fit(z, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     factor = model.covariance_factor
     ingest.write_array(out / "means.npy", model.means)
     ingest.write_array(out / "log_priors.npy", model.log_priors)
     ingest.write_array(out / "covariance.npy", factor.lower @ factor.lower.T)
-    ingest.write_array(out / "posteriors.npy", posteriors)
+    # the posterior rows are formed and written block by block, as predict forms them
+    ingest.write_rows(out / "posteriors.npy", z.shape,
+                      (calibrator.posterior_matrix(model, z[rows])
+                       for rows in numerics.row_blocks(*z.shape)))
     print(f"wrote 4 arrays to {out}")
     return 0
 

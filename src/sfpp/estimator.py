@@ -63,9 +63,12 @@ def gradient_norms(logits, posterior, weights=None, features=None):
     is s minus its target, times ``weights.T`` when weights are given.
     Feature rows f scale both norms by sqrt(||f||^2 + 1), the Frobenius
     factor of the rank-1 last-layer gradient.
+
+    Both residuals are formed in s itself, the pseudo-label one first, and
+    the second product is written into the first one's array: a block holds
+    s and one product, or s alone without weights.
     """
-    def norms(residual):
-        g = residual if weights is None else residual @ weights.T
+    def norms(g):
         return np.sqrt(np.einsum("nc,nc->n", g, g))
 
     n, c = logits.shape
@@ -73,11 +76,18 @@ def gradient_norms(logits, posterior, weights=None, features=None):
     pairs = np.empty((n, 2))
     for rows in numerics.row_blocks(n, c):
         s = posterior(logits[rows])
-        pl[rows] = np.argmax(s, axis=1)
-        pairs[rows, 1] = norms(s - 1.0 / c)
-        s[np.arange(s.shape[0]), pl[rows]] -= 1.0
-        pairs[rows, 0] = norms(s)
-        del s  # so the next block's posterior is formed without this one
+        at = (np.arange(s.shape[0]), np.argmax(s, axis=1))
+        pl[rows] = at[1]
+        top = s[at]
+        s[at] -= 1.0
+        g = s if weights is None else s @ weights.T
+        pairs[rows, 0] = norms(g)
+        s[at] = top
+        s -= 1.0 / c
+        if weights is not None:
+            np.matmul(s, weights.T, out=g)
+        pairs[rows, 1] = norms(g)
+        del s, g  # so the next block's posterior is formed without these
     if features is not None:
         pairs *= np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)[:, None]
     return pl, pairs
@@ -118,10 +128,12 @@ def predict_accuracy(bundle: DatasetBundle,
     t0 = time.perf_counter()
     z = bundle.target_logits
     n = z.shape[0]
-    model = calibrator.fit(z, config)
+    # only the center, A and beta outlive the fit: the block pass runs
+    # without the means, the Cholesky factor and Sigma^-1
+    disc = calibrator.fit(z, config).discriminant()
     pl_idx, pairs = gradient_norms(
-        z, lambda rows: calibrator.posterior_matrix(model, rows),
-        model.weights, bundle.target_features,
+        z, lambda rows: calibrator.posterior_matrix(disc, rows),
+        disc.weights, bundle.target_features,
     )
     correct = is_correct(pairs[:, 0], pairs[:, 1], config.eq5_literal)
     echo = asdict(config)

@@ -260,6 +260,20 @@ def write_array(path, values) -> None:
         np.lib.format.write_array(fh, arr, version=(1, 0), allow_pickle=False)
 
 
+def write_rows(path, shape: tuple[int, int], blocks) -> None:
+    """Write the NPY v1.0 <f8 file ``write_array`` writes for an array of
+    ``shape``, from its row blocks in order; a failed block leaves no file."""
+    try:
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)})
+            for block in blocks:
+                np.ascontiguousarray(block, dtype="<f8").tofile(fh)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 # ----------------------------------------------------------------- bundles
 
 BUNDLE_KEYS = tuple(f.name for f in fields(DatasetBundle) if f.name != "class_count")

@@ -87,11 +87,17 @@ def row_blocks(n: int, class_count: int):
         yield slice(start, min(start + step, n))
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether no entry of a is NaN or infinite (True when a is empty), by a
+    max and a min, through which NaN propagates, rather than by a mask."""
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DegenerateInputError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all_finite(a):
         raise DegenerateInputError(f"{name} contains non-finite entries")
     return a
 
@@ -102,7 +108,8 @@ def covariance(samples) -> np.ndarray:
     Two passes: column means first, then the Gram matrix of the centered
     rows, one BLAS product per ``row_blocks(n, d)`` block added in index
     order, so the result is independent of caller-side parallelism and
-    exactly symmetric.
+    exactly symmetric. The sum starts as the first block's product and is
+    divided in place; against a sum from zeros, only a zero's sign can move.
     """
     a = _as_matrix(samples, "samples")
     n, d = a.shape
@@ -110,11 +117,15 @@ def covariance(samples) -> np.ndarray:
         raise DegenerateInputError(f"covariance needs at least 2 samples, got {n}")
 
     mean = a.sum(axis=0) / n
-    gram = np.zeros((d, d))
+    gram = None
     for rows in row_blocks(n, d):
         centered = a[rows] - mean
-        gram += centered.T @ centered
-    return gram / (n - 1)
+        if gram is None:
+            gram = centered.T @ centered
+        else:
+            gram += centered.T @ centered
+    gram /= n - 1
+    return gram
 
 
 def cholesky_with_jitter(a, base_jitter: float) -> CholeskyFactor:
@@ -157,14 +168,15 @@ def logsumexp(values, axis=None) -> np.ndarray | float:
 
     Entries may be -inf (empty terms); +inf and NaN are rejected. Returns
     -inf iff every entry along the reduction is -inf, and is exact for a
-    single element.
+    single element. The check reads the maxima the shift needs anyway, so
+    no mask is formed: a NaN or +inf entry makes its maximum NaN or +inf.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise DegenerateInputError("logsumexp of an empty input")
-    if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise DegenerateInputError("logsumexp input must be free of NaN and +inf")
     m = np.max(v, axis=axis, keepdims=True)
+    if not m.max() < np.inf:
+        raise DegenerateInputError("logsumexp input must be free of NaN and +inf")
     safe_m = np.where(np.isfinite(m), m, 0.0)
     # Exponentiate in place: one temporary of the input's size, not two.
     shifted = v - safe_m

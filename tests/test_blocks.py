@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfpp import baselines, calibrator, estimator, numerics
+from sfpp import baselines, calibrator, cli, estimator, numerics
 from sfpp.ingest import BUNDLE_KEYS, DatasetBundle, load_bundle, report_to_json
 
 # 128 classes give 2048-row blocks: three blocks and a 300-row tail.
@@ -140,6 +140,15 @@ class TestSingleBlock:
         bundle = head(np.random.default_rng(n + 1), n, c, features)
         report = baselines.gradnorm(bundle)
         assert same_report_bytes(report, *whole_matrix_gradnorm(bundle))
+
+
+class TestSingleBlockAtTheWideShape:
+    def test_predict_report_bytes(self):
+        """The 1500 x 600 head of the wide-head benchmark, with features: the
+        block pass's in-place residuals and reused product change no bit."""
+        bundle = head(np.random.default_rng(1500), 1500, 600, features=True)
+        report = estimator.predict_accuracy(bundle)
+        assert same_report_bytes(report, *whole_matrix_predict(bundle))
 
 
 class TestTsqrNuclear:
@@ -278,3 +287,50 @@ class TestPeakMemory:
         z = head(np.random.default_rng(37), 1500, 600).target_logits
         peak = self.peak_bytes(lambda: calibrator.fit(z))
         assert peak < 8.5 * 600 * 600 * 8
+
+
+    # The block pass holds a block's posterior rows s and one product, and the
+    # wide-head fit and predict hold well under three n x C arrays.
+
+    def test_calibrated_head_holds_s_and_one_product(self, tall):
+        """Measured 2.14 blocks: s, the product, and the posterior's own
+        temporaries while s is formed."""
+        z = tall.target_logits
+        disc = calibrator.fit(z).discriminant()
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: calibrator.posterior_matrix(disc, block), disc.weights))
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < 2.5 * self.block_bytes(z)
+
+    def test_softmax_without_head_holds_s_alone(self, tall):
+        """Measured 1.13 blocks: both residuals are formed in s itself."""
+        z = tall.target_logits
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: baselines.softmax(block).probabilities))
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < 1.5 * self.block_bytes(z)
+
+    @pytest.mark.parametrize("method", ["fit", "predict"])
+    def test_wide_head_below_2_75_arrays(self, method):
+        """On a 1500 x 600 head (one block, and C x C = 0.4 n x C) each peaks
+        at 2.42 n x C: predict keeps only the center, A and beta past the fit,
+        and the fit builds its prior terms in one C x C buffer."""
+        bundle = head(np.random.default_rng(37), 1500, 600, features=True)
+        run = (lambda: calibrator.fit(bundle.target_logits)) if method == "fit" else (
+            lambda: estimator.predict_accuracy(bundle))
+        peak = self.peak_bytes(run)
+        assert peak < 2.75 * bundle.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
+
+    def test_dump_calibration_streams_the_posteriors(self, tall, tmp_path):
+        """Beyond the logits it reads, dump-calibration peaks at 0.17 of one
+        n x C array (the reader's finiteness mask is 0.125 of it); holding the
+        posterior matrix would add a whole one."""
+        z = tall.target_logits
+        path = tmp_path / "z.npy"
+        np.save(path, z)
+        out = tmp_path / "dump"
+        peak = self.peak_bytes(lambda: cli.main(
+            ["dump-calibration", "--logits", str(path), "--out", str(out)]))
+        assert peak - z.nbytes < 0.5 * z.nbytes, f"peaked at {peak / 2**20:.1f} MiB"
+        posteriors = np.load(out / "posteriors.npy")
+        want = np.vstack([calibrator.posterior_matrix(calibrator.fit(z), z[rows])
+                          for rows in numerics.row_blocks(*z.shape)])
+        assert posteriors.tobytes() == want.tobytes()

@@ -409,3 +409,33 @@ class TestInPlacePosterior:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as err:
             posterior_matrix(model, np.ones((2, 3)))
         assert str(err.value) == "NaN in normalized log posteriors"
+
+
+# ------------------------------------ prior terms and what predict keeps
+
+def new_array_log_priors(model):
+    """fit's priors with every step of the pair terms forming a new array."""
+    c = model.class_count
+    cross = (model.means - model.center) @ model.weights
+    q = np.diag(cross)
+    d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * cross, 0.0)
+    pair_logs = -0.5 * (model.covariance_factor.log_det + c * LN_2PI + d2)
+    np.fill_diagonal(pair_logs, -np.inf)
+    return -logsumexp(pair_logs, axis=1)
+
+
+class TestPriorTermsInOneBuffer:
+    @pytest.mark.parametrize("c, rows_per_class, seed", [(3, 8, 461), (40, 3, 463), (600, 2.5, 467)])
+    def test_bit_identical_to_new_arrays(self, c, rows_per_class, seed):
+        model = fit(wide_head(np.random.default_rng(seed), c, rows_per_class))
+        assert model.log_priors.tobytes() == new_array_log_priors(model).tobytes()
+
+
+class TestDiscriminant:
+    def test_holds_the_models_arrays_and_scores_alike(self):
+        z = wide_head(np.random.default_rng(479), 40, 3)
+        model = fit(z)
+        disc = model.discriminant()
+        assert disc.center is model.center and disc.weights is model.weights
+        assert disc.offsets is model.offsets and disc.class_count == 40
+        assert posterior_matrix(disc, z).tobytes() == posterior_matrix(model, z).tobytes()

@@ -14,6 +14,7 @@ from sfpp.ingest import (
     to_json_text,
     write_array,
     write_report,
+    write_rows,
 )
 
 
@@ -117,6 +118,31 @@ class TestReadWriteArray:
         header_len = int.from_bytes(raw[8:10], "little")
         assert (10 + header_len) % 64 == 0
         assert raw[10 + header_len - 1:10 + header_len] == b"\n"
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("splits", [[], [4], [1, 4], [1, 2, 4]],
+                             ids=["one-block", "two-blocks", "three-blocks", "four-blocks"])
+    def test_same_bytes_as_write_array(self, tmp_path, splits):
+        a = np.random.default_rng(5).normal(size=(5, 3))
+        write_array(tmp_path / "whole.npy", a)
+        write_rows(tmp_path / "rows.npy", a.shape, np.split(a, splits))
+        assert (tmp_path / "rows.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+
+    def test_zero_rows(self, tmp_path):
+        write_array(tmp_path / "whole.npy", np.zeros((0, 3)))
+        write_rows(tmp_path / "rows.npy", (0, 3), iter(()))
+        assert (tmp_path / "rows.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+
+    def test_raising_block_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield np.zeros((2, 3))
+            raise ArrayFormatError("block failed")
+
+        p = tmp_path / "rows.npy"
+        with pytest.raises(ArrayFormatError, match="block failed"):
+            write_rows(p, (4, 3), blocks())
+        assert not p.exists()
 
 
 class TestMalformedCorpus:

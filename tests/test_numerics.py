@@ -96,6 +96,31 @@ class TestCovariance:
         assert float(np.max(np.abs(covariance(a) - want))) < 1e-13 * scale
 
 
+class TestCovarianceInPlace:
+    """The in-place sum and division give the bits of a zeros-started sum
+    divided out of place, signs of zero entries included."""
+
+    @staticmethod
+    def zeros_started(a):
+        mean = a.sum(axis=0) / a.shape[0]
+        gram = np.zeros((a.shape[1], a.shape[1]))
+        for rows in row_blocks(*a.shape):
+            centered = a[rows] - mean
+            gram += centered.T @ centered
+        return gram / (a.shape[0] - 1)
+
+    @pytest.mark.parametrize("n, d", [(1500, 600), (3 * 2048 + 300, 128), (30_000, 20), (7, 3)])
+    def test_bit_identical(self, n, d):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, d)) * 3.0 + 1.0
+        a[:, 1] = 2.5  # a constant column: its row and column of the Gram are zeros
+        a[: n // 2, 2] = -1.0
+        a[n // 2:, 2] = 1.0
+        got, want = covariance(a), self.zeros_started(a)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # --------------------------------------------------------------- cholesky
 
 class TestCholeskyWithJitter:
