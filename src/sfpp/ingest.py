@@ -11,14 +11,17 @@ validation split.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .errors import ArrayFormatError, BundleValidationError
 
 _NPY_MAGIC = b"\x93NUMPY"
@@ -164,7 +167,7 @@ def read_array(path) -> np.ndarray:
         arr = _read_csv(path)
     else:
         raise ArrayFormatError(f"{path}: unsupported extension {suffix!r} (expected .npy or .csv)")
-    if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
+    if arr.dtype.kind == "f" and not numerics.all_finite(arr):
         raise ArrayFormatError(f"{path}: contains NaN or Inf entries")
     return arr
 
@@ -333,18 +336,171 @@ def format_real(x: float) -> str:
 # JSON string escapes: backslash, quote and every control character U+0000-U+001F.
 _JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{i: "\\u%04x" % i for i in range(0x20)}}
 
+# An integer vector whose values all lie in 0-9 renders as one row of this
+# table per value, the digit and its separator.
+_DIGIT_CELLS = np.frombuffer(b"0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ", dtype=np.uint8).reshape(10, 3)
+
+# Real matrices render _CHUNK values per numpy pass, each value into a 48-byte
+# cell of twelve 4-character words:
+#   columns  0-18  the integer part, right-aligned in 19 zero-padded digits
+#   column   19    the decimal point
+#   columns 20-39  the fraction, left-aligned in 20 digits
+#   columns 40-47  the exponent and the separator that follow the number
+# A cell keeps columns [start, 19), the point and the fraction up to its last
+# nonzero digit if there is one, and its suffix; one mask compacts a chunk.
+_CHUNK = 1 << 14
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for 53-bit significands
+_SUFFIXES = [exp + sep for exp in ("", "e-05", "e-06") for sep in (", ", "], [", "]]")]
+_POINT_WORD, _SUFFIX_WORD = 10_000, 11_000  # where "000." and the suffixes start in words
+
+
+class _RealTables(NamedTuple):
+    words: np.ndarray      # "0000".."9999", "000.".."999.", then each suffix as two words
+    frac_len: np.ndarray   # [k][w]: the fraction's length if word k is w and its last nonzero
+    keep: np.ndarray       # [(start * 21 + fraction length) * 9 + suffix]: a cell's mask
+    pow10: np.ndarray      # 10^0..10^22, exact doubles, and their Dekker halves
+    pow10_hi: np.ndarray
+    pow10_lo: np.ndarray
+    ipow10: np.ndarray     # 10^0..10^18 as int64
+
+
+@functools.cache
+def _real_tables() -> _RealTables:
+    """Built on first use, not at import; read-only, as every caller shares them."""
+    four = ["%04d" % w for w in range(10_000)]
+    text = "".join(four) + "".join("%03d." % w for w in range(1000)) + "".join(
+        s.ljust(8) for s in _SUFFIXES)
+    sig = np.array([len(w.rstrip("0")) for w in four])
+    frac_len = np.stack([np.where(sig > 0, sig + 4 * k, 0) for k in range(5)]).astype(np.int8)
+    col = np.arange(48)
+    start = np.arange(20)[:, None, None, None]
+    frac = np.arange(21)[None, :, None, None]
+    suffix = np.array([len(s) for s in _SUFFIXES])[None, None, :, None]
+    keep = (((col >= start) & (col < 19)) | ((frac > 0) & (col >= 19) & (col < 20 + frac))
+            | ((col >= 40) & (col < 40 + suffix))).reshape(-1, 48)
+    pow10 = np.array([float(10**k) for k in range(23)])
+    scaled = pow10 * _SPLIT
+    pow10_hi = scaled - (scaled - pow10)
+    tables = _RealTables(np.frombuffer(text.encode("ascii"), dtype="<u4"), frac_len, keep,
+                         pow10, pow10_hi, pow10 - pow10_hi, 10 ** np.arange(19, dtype=np.int64))
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _times_pow10(a, k, t: _RealTables):
+    """a * 10^k as hi + lo exactly (Dekker 1971), for 0 <= k <= 22."""
+    p, p_hi, p_lo = t.pow10.take(k), t.pow10_hi.take(k), t.pow10_lo.take(k)
+    hi = a * p
+    scaled = a * _SPLIT
+    a_hi = scaled - (scaled - a)
+    a_lo = a - a_hi
+    return hi, a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+
+
+def _base_10000(v, g, cols) -> None:
+    """Write v into g[:, cols] in base 10^4, most significant word first."""
+    for c in reversed(cols[1:]):
+        q = v // 10_000
+        np.subtract(v, q * 10_000, out=g[:, c])
+        v = q
+    g[:, cols[0]] = v
+
+
+def _render_reals(x: np.ndarray, first: int, width: int, total: int) -> np.ndarray:
+    """The bytes of ``format(v, ".17g")`` and its separator for each value v of
+    x, which sits at flat index ``first`` of a ``total``-value matrix ``width``
+    wide. A value with 1e-6 < |v| < 1e17 has a decimal exponent e in [-6, 16],
+    so 10^(16 - e) is an exact double, and its 17 digits are |v| * 10^(16 - e),
+    formed exactly as hi + lo and rounded half to even, which is what CPython's
+    correctly rounded conversion prints. Any other value is formatted by Python."""
+    t = _real_tables()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -6, 16, out=e)
+    hi, lo = _times_pow10(a, 16 - e, t)
+    # where log10 rounded across a power of ten, hi + lo < 10^16 or >= 10^17
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        e[off] += above[off].astype(np.intp) - below[off]
+        hi[off], lo[off] = _times_pow10(a[off], 16 - e[off], t)
+    # hi is an even integer in [1e16, 1e17], so rint(lo) rounds the sum half to
+    # even. The sum never rounds up to 10^17: the double below each power of
+    # ten from 1e-5 to 1e17 lies more than 8e-17 of it lower.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    # the exponent that places the point: exponent notation (e < -4) is laid
+    # out as a value in [1, 10); below 1 the integer part is 0 and the
+    # fraction -e - 1 zeros, then the 17 digits
+    point = np.where(e < -4, 0, e)
+    ipart_div = t.ipow10.take(np.minimum(16 - point, 17))
+    ipart = d // ipart_div
+    rest = d - ipart * ipart_div
+    frac_div = t.ipow10.take(np.maximum(-point, 0))
+    high = rest // frac_div
+    low = (rest - high * frac_div) * t.ipow10.take(np.clip(point + 4, 0, 4))
+    high *= t.ipow10.take(np.maximum(point, 0))
+    g = np.empty((x.size, 12), dtype=np.intp)  # the cell's words, as indices into t.words
+    top = ipart // 1000
+    np.subtract(ipart, top * 1000, out=g[:, 4])
+    g[:, 4] += _POINT_WORD
+    _base_10000(top, g, [0, 1, 2, 3])
+    _base_10000(high, g, [5, 6, 7, 8])
+    g[:, 9] = low
+    frac_len = t.frac_len[0].take(g[:, 5])
+    for k in range(1, 5):
+        np.maximum(frac_len, t.frac_len[k].take(g[:, 5 + k]), out=frac_len)
+    sep = np.zeros(x.size, dtype=np.intp)  # 0 ", ", 1 "], [" at a row's end, 2 "]]" at the last
+    sep[(width - 1 - first) % width::width] = 1
+    if first + x.size == total:
+        sep[-1] = 2
+    suffix = np.clip(-4 - e, 0, 2) * 3 + sep
+    digits = np.where(point < 0, 1, point + 1)
+    negative = np.signbit(x)
+    start = 19 - digits - negative
+    slow = np.flatnonzero(~fast)
+    suffix[slow] = sep[slow]
+    np.multiply(suffix, 2, out=g[:, 10])
+    g[:, 10] += _SUFFIX_WORD
+    np.add(g[:, 10], 1, out=g[:, 11])
+
+    cells = t.words.take(g).view(np.uint8)
+    minus = np.flatnonzero(negative & fast)
+    cells[minus, 18 - digits[minus]] = ord("-")
+    if slow.size:
+        # Python's text ends at column 19 if it has at most 4 characters (0 or
+        # -0); a longer one is laid out as 3 integer digits and a fraction
+        texts = [format(v, ".17g") for v in x[slow].tolist()]
+        length = np.fromiter(map(len, texts), dtype=np.intp, count=slow.size)
+        start[slow] = np.where(length > 4, 16, 19 - length)
+        frac_len[slow] = np.maximum(length - 4, 0)
+        ends = np.cumsum(length)
+        cells[np.repeat(slow, length),
+              np.arange(ends[-1]) + np.repeat(start[slow] - ends + length, length)] = (
+            np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8))
+    return cells[t.keep.take((start * 21 + frac_len) * 9 + suffix, axis=0)]
+
 
 def _fmt_json(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu":
+        if value.size and value.min() >= 0 and value.max() <= 9:  # every verdict vector
+            return "[%s]" % _DIGIT_CELLS.take(value, axis=0).tobytes()[:-2].decode("ascii")
         return "[%s]" % ", ".join(map(str, value.astype(np.int64).tolist()))
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f":
-        # one finiteness check and one format call for the whole matrix
-        finite = np.isfinite(value)
-        if not finite.all():
-            raise ValueError(f"report holds a non-finite real: {float(value[~finite][0])}")
-        row = "[%s]" % ", ".join(["%.17g"] * value.shape[1])
-        return "[%s]" % ", ".join([row] * value.shape[0]) % tuple(value.ravel().tolist())
+        if not numerics.all_finite(value):
+            bad = value[~np.isfinite(value)][0]
+            raise ValueError(f"report holds a non-finite real: {float(bad)}")
+        if not value.size:
+            return "[%s]" % ", ".join(["[]"] * value.shape[0])
+        flat = np.ascontiguousarray(value, dtype=np.float64).reshape(-1)
+        chunks = (_render_reals(flat[lo:lo + _CHUNK], lo, value.shape[1], flat.size)
+                  for lo in range(0, flat.size, _CHUNK))
+        return b"".join([b"[[", *chunks]).decode("ascii")
     if isinstance(value, str):
         return '"%s"' % value.translate(_JSON_ESCAPES)
     if isinstance(value, bool):

@@ -281,12 +281,12 @@ class TestPeakMemory:
         assert peak < 0.5 * skewed.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
 
     def test_wide_fit_frees_the_covariance(self):
-        """On a 1500 x 600 head the fit peaks at 8.04 C x C arrays (the
+        """On a 1500 x 600 head the fit peaks at 6.06 C x C arrays (the
         factor, its inverse, Sigma^-1, A and the prior terms, not all at
         once); keeping the covariance alive past its factorization adds one."""
         z = head(np.random.default_rng(37), 1500, 600).target_logits
         peak = self.peak_bytes(lambda: calibrator.fit(z))
-        assert peak < 8.5 * 600 * 600 * 8
+        assert peak < 6.5 * 600 * 600 * 8
 
 
     # The block pass holds a block's posterior rows s and one product, and the

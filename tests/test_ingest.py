@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfpp.errors import ArrayFormatError, BundleValidationError
 from sfpp.ingest import (
@@ -450,6 +455,120 @@ class TestReports:
 
     def test_control_characters_as_unicode_escapes(self):
         assert to_json_text({"a\tb": "\x1f"}) == '{\n  "a\\u0009b": "\\u001f"\n}\n'
+
+
+def python_rendering(matrix):
+    """The oracle: the same values as lists of Python floats, each through format_real."""
+    return _fmt_json([[float(v) for v in row] for row in np.asarray(matrix)], 0)
+
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda sign, power: sign * 10.0 ** power,
+              st.sampled_from([-1.0, 1.0]), st.floats(-9.0, 19.0)),
+)
+
+
+class TestRealMatrixRendering:
+    """Float matrices render through numpy, byte for byte as Python formats each value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=st.integers(2, 3).flatmap(lambda width: arrays(
+        np.float64, st.tuples(st.integers(1, 40), st.just(width)), elements=_REALS)))
+    def test_matches_python_formatting(self, matrix):
+        assert _fmt_json(matrix, 0) == python_rendering(matrix)
+
+    @staticmethod
+    def fixed_values():
+        powers = [float(10**k) if k >= 0 else float(f"1e{k}") for k in range(-8, 19)]
+        values = []
+        for p in powers:
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        # exact 17-digit ties, which round half to even
+        values += [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375]
+        # the doubles nearest 1e-14 and 1e98 lie below them yet print as them:
+        # their rounding carries into the next power of ten. No double with
+        # 1e-6 < |x| < 1e17 does; those are the 10^k neighbours above.
+        values += [1e-14, 1e98]
+        # the kernel's bounds and the values Python formats itself
+        values += [1e-6, 1e17, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        return np.array(values)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fixed_values(self, width, sign):
+        v = sign * self.fixed_values()
+        matrix = v[: v.size // width * width].reshape(-1, width)
+        assert _fmt_json(matrix, 0) == python_rendering(matrix)
+
+    def test_ties_round_half_to_even(self):
+        ties = np.array([[1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375]])
+        assert _fmt_json(ties, 0) == (
+            "[[1000000000000000.2, 1000000000000000.8, 100000000000000.12, 100000000000000.38]]")
+
+    def test_chunk_boundary_inside_a_row(self):
+        """16500 values in rows of 3: the first chunk of 2**14 ends after the
+        first value of row 5461, and the second chunk starts inside that row."""
+        rng = np.random.default_rng(11)
+        matrix = 10.0 ** rng.uniform(-9, 19, (5500, 3)) * rng.choice([-1.0, 1.0], (5500, 3))
+        matrix[5461] = [0.0, -1e-7, 123.5]
+        matrix[5460, 2] = -0.0
+        assert _fmt_json(matrix, 0) == python_rendering(matrix)
+
+    def test_non_contiguous_and_float32_matrices(self):
+        rng = np.random.default_rng(12)
+        matrix = rng.normal(size=(50, 6))[:, ::3]
+        assert _fmt_json(matrix, 0) == python_rendering(matrix)
+        narrow = rng.normal(size=(20, 2)).astype(np.float32)
+        assert _fmt_json(narrow, 0) == python_rendering(narrow)
+
+
+class TestIntVectorRendering:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+    def test_verdicts(self, dtype):
+        v = (np.random.default_rng(13).random(1000) < 0.7).astype(dtype)
+        assert _fmt_json(v, 0) == "[%s]" % ", ".join(str(int(x)) for x in v)
+
+    @pytest.mark.parametrize("values", [
+        list(range(10)) * 3,
+        [0, 1, -1, 1],
+        [0, 10, 1],
+        [np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max],
+    ])
+    def test_other_vectors_keep_their_bytes(self, values):
+        v = np.array(values, dtype=np.int64)
+        assert _fmt_json(v, 0) == "[%s]" % ", ".join(str(x) for x in values)
+
+
+class TestIngestPeakMemory:
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_array_holds_the_array_once(self, tmp_path):
+        """The finiteness check reads a max and a min; a mask of the array
+        would add an eighth of it."""
+        values = np.random.default_rng(14).normal(size=(100_000, 50))
+        path = tmp_path / "big.npy"
+        write_array(path, values)
+        assert self.peak_bytes(lambda: read_array(path)) < 1.01 * values.nbytes
+
+    def test_report_rendering_peaks_near_two_texts(self):
+        """A 10^5-row report with two norms per row peaks at 2.2 times its
+        text: the text and one copy as the document is assembled, and one
+        chunk's arrays. Formatting a list of Python floats took 2.95."""
+        rng = np.random.default_rng(15)
+        n = 100_000
+        report = EstimateReport(method="calibrated-gradnorm", predicted_accuracy=0.5, n_samples=n,
+                                per_sample_correct=(rng.random(n) < 0.8).astype(np.int8),
+                                grad_norm_pairs=np.abs(rng.normal(1.0, 0.5, (n, 2))))
+        size = len(report_to_json(report))
+        assert self.peak_bytes(lambda: report_to_json(report)) < 2.5 * size
 
 
 class TestNpyReader:
