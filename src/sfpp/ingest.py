@@ -254,24 +254,23 @@ def _read_csv(path: Path) -> np.ndarray:
 
 
 def write_array(path, values) -> None:
-    """Write an NPY v1.0 file, always <f8 or <i8 in C order."""
+    """Write an NPY v1.0 file, always <f8 or <i8 in C order; a failed write
+    leaves no file."""
     arr = np.asarray(values)
     if arr.ndim not in (1, 2):
         raise ArrayFormatError(f"{path}: only rank-1 and rank-2 arrays are written, got rank {arr.ndim}")
-    arr = np.ascontiguousarray(arr, dtype="<i8" if arr.dtype.kind in "biu" else "<f8")
-    with open(path, "wb") as fh:
-        np.lib.format.write_array(fh, arr, version=(1, 0), allow_pickle=False)
+    write_rows(path, arr.shape, [arr], "<i8" if arr.dtype.kind in "biu" else "<f8")
 
 
-def write_rows(path, shape: tuple[int, int], blocks) -> None:
-    """Write the NPY v1.0 <f8 file ``write_array`` writes for an array of
-    ``shape``, from its row blocks in order; a failed block leaves no file."""
+def write_rows(path, shape: tuple[int, ...], blocks, descr: str = "<f8") -> None:
+    """Write the NPY v1.0 ``descr`` file, C order, of an array of ``shape``
+    (rank 1 or 2) from its row blocks in order; a failed block leaves no file."""
     try:
         with open(path, "wb") as fh:
             np.lib.format.write_array_header_1_0(
-                fh, {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)})
+                fh, {"descr": descr, "fortran_order": False, "shape": tuple(shape)})
             for block in blocks:
-                np.ascontiguousarray(block, dtype="<f8").tofile(fh)
+                np.ascontiguousarray(block, dtype=descr).tofile(fh)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
@@ -490,7 +489,6 @@ def _fmt_json(value, indent: int) -> str:
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu":
         if value.size and value.min() >= 0 and value.max() <= 9:  # every verdict vector
             return "[%s]" % _DIGIT_CELLS.take(value, axis=0).tobytes()[:-2].decode("ascii")
-        return "[%s]" % ", ".join(map(str, value.astype(np.int64).tolist()))
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f":
         if not numerics.all_finite(value):
             bad = value[~np.isfinite(value)][0]

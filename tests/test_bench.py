@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from sfpp import baselines, bench, estimator
 from sfpp.errors import DegenerateInputError
 from sfpp.ingest import DatasetBundle
+from tests.test_cli import env_with_src
 
 GOLDEN_SCENARIO = bench.BenchScenario(
     name="golden", seed=12345, class_count=3, feature_dim=4,
@@ -131,12 +131,10 @@ class TestXorshiftBlocks:
             assert blocks.state == scalar.state
 
     def test_cli_import_leaves_jump_tables_unbuilt(self):
-        src = str(Path(bench.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = ("import sfpp.cli; from sfpp import bench; "
                 "print(bench._jump_tables.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              env=env_with_src())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
 

@@ -11,7 +11,7 @@ import pytest
 
 import sfpp
 from sfpp import baselines, bench, calibrator, estimator
-from sfpp.cli import _config_from_args, build_parser, main
+from sfpp.cli import ALL_BASELINES, _config_from_args, build_parser, main
 from sfpp.errors import DegenerateInputError
 from sfpp.ingest import write_array
 
@@ -22,7 +22,8 @@ def without_elapsed(path):
 
 
 def env_with_src():
-    """The environment plus the source tree on PYTHONPATH, for child interpreters."""
+    """The environment for child interpreters, with the directory `sfpp` was
+    imported from, the checkout's `src/` or site-packages, first on PYTHONPATH."""
     src = str(Path(sfpp.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, PYTHONPATH=path)
@@ -201,6 +202,36 @@ class TestBaseline:
         assert code == 2
         err = capsys.readouterr().err
         assert "val_logits" in err and "(0, 4)" in err
+
+    @pytest.mark.parametrize("method", ALL_BASELINES)
+    def test_every_method_writes_a_report(self, tmp_path, logits_file, val_files, capsys,
+                                          method):
+        features = tmp_path / "features.npy"
+        write_array(features, np.random.default_rng(331).normal(size=(90, 8)))
+        out = tmp_path / "r.json"
+        code = main(["baseline", "--method", method, "--logits", str(logits_file),
+                     "--features", str(features), "--val-logits", str(val_files[0]),
+                     "--val-labels", str(val_files[1]), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == method and doc["n_samples"] == 90
+        assert capsys.readouterr().out.strip() == f"{doc['predicted_accuracy']:.4f}"
+
+    def test_csv_labels_as_integral_floats_under_a_header(self, tmp_path, logits_file,
+                                                          val_files, capsys):
+        val, labels = val_files
+        csv = tmp_path / "labels.csv"
+        np.savetxt(csv, np.load(labels), fmt="%.1f", header="label", comments="")
+        text = csv.read_text()
+        assert text.startswith("label\n") and ".0\n" in text
+        reports = []
+        for given in (labels, csv):
+            out = tmp_path / f"{given.suffix[1:]}.json"
+            assert main(["baseline", "--method", "doc", "--logits", str(logits_file),
+                         "--val-logits", str(val), "--val-labels", str(given),
+                         "--out", str(out)]) == 0
+            reports.append(without_elapsed(out))
+        assert reports[0] == reports[1]
 
     @pytest.mark.filterwarnings("error")  # no cast of 1e20 to int64
     def test_label_beyond_int64_named_as_read_exit_2(self, tmp_path, logits_file, capsys):
@@ -507,7 +538,7 @@ class TestBench:
         doc["n_target"] = bench.MAX_SPLIT_FLOATS // doc["feature_dim"]
         assert bench.scenario_from_dict(doc).n_target == doc["n_target"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training overflows first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # training warns nothing
     @pytest.mark.parametrize("field, value, message", [
         ("cluster_spread", 1e200, "logits contain non-finite entries"),
         ("learning_rate", 1e300,
@@ -562,6 +593,10 @@ class TestDumpCalibration:
         assert cov.shape == (3, 3)
         assert post.shape == (90, 3)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+        for name in ("means", "log_priors", "covariance", "posteriors"):
+            with open(out / f"{name}.npy", "rb") as fh:
+                assert np.lib.format.read_magic(fh) == (1, 0)
+                assert np.lib.format.read_array_header_1_0(fh)[2] == np.float64
 
 
 class TestHelpAndEntryPoint:

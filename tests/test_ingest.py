@@ -149,6 +149,21 @@ class TestWriteRows:
             write_rows(p, (4, 3), blocks())
         assert not p.exists()
 
+    @pytest.mark.parametrize("write", [
+        lambda p: write_array(p, np.zeros((4, 3))),
+        lambda p: write_rows(p, (4, 3), [np.zeros((4, 3))]),
+    ], ids=["write_array", "write_rows"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        def full_disk(fh, header):
+            fh.write(b"\x93NUMPY")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", full_disk)
+        p = tmp_path / "a.npy"
+        with pytest.raises(OSError, match="No space left"):
+            write(p)
+        assert not p.exists()
+
 
 class TestMalformedCorpus:
     def test_bad_magic(self, tmp_path):
