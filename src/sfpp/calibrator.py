@@ -81,8 +81,11 @@ class GaussianModel:
         return self.log_priors - 0.5 * np.einsum("jk,kj->j", centered, self.weights)
 
     def discriminant(self) -> Discriminant:
-        """The center, A and beta: all that the posterior reads."""
-        return Discriminant(center=self.center, weights=self.weights, offsets=self.offsets)
+        """The center, A and beta: all that the posterior reads. A is copied to
+        Fortran order, so that the gradient pass gathers contiguous rows of
+        A^T; (x - center) @ A and s @ A^T keep their bits in either order."""
+        return Discriminant(center=self.center, weights=np.asfortranarray(self.weights),
+                            offsets=self.offsets)
 
 
 @dataclass(frozen=True)

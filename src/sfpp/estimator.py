@@ -64,9 +64,14 @@ def gradient_norms(logits, posterior, weights=None, features=None):
     Feature rows f scale both norms by sqrt(||f||^2 + 1), the Frobenius
     factor of the rank-1 last-layer gradient.
 
-    Both residuals are formed in s itself, the pseudo-label one first, and
-    the second product is written into the first one's array: a block holds
-    s and one product, or s alone without weights.
+    With weights A a block forms one product, h = s @ A^T, and takes each
+    gradient as (s - t) @ A^T = h - t @ A^T: t @ A^T is row pl of A^T for
+    the pseudo-label, gathered into s's buffer, and the mean of A^T's rows
+    for uniform, taken off h in place. Each difference is formed before its
+    norm, unlike the Gram form (s - t) A^T A (s - t)^T, which cancels large
+    terms on saturated rows. A block holds s and h; the gather copies
+    nothing when A^T is C-ordered, as a ``Discriminant``'s is. Without
+    weights both residuals are formed in s itself, and a block holds s alone.
     """
     def norms(g):
         return np.sqrt(np.einsum("nc,nc->n", g, g))
@@ -74,20 +79,31 @@ def gradient_norms(logits, posterior, weights=None, features=None):
     n, c = logits.shape
     pl = np.empty(n, dtype=np.intp)
     pairs = np.empty((n, 2))
+    if weights is not None:
+        weights_t = np.ascontiguousarray(weights.T)
+        uniform = weights_t.mean(axis=0)
     for rows in numerics.row_blocks(n, c):
         s = posterior(logits[rows])
         at = (np.arange(s.shape[0]), np.argmax(s, axis=1))
         pl[rows] = at[1]
-        top = s[at]
-        s[at] -= 1.0
-        g = s if weights is None else s @ weights.T
-        pairs[rows, 0] = norms(g)
-        s[at] = top
-        s -= 1.0 / c
-        if weights is not None:
-            np.matmul(s, weights.T, out=g)
-        pairs[rows, 1] = norms(g)
-        del s, g  # so the next block's posterior is formed without these
+        if weights is None:
+            top = s[at]
+            s[at] -= 1.0
+            pairs[rows, 0] = norms(s)
+            s[at] = top
+            s -= 1.0 / c
+            pairs[rows, 1] = norms(s)
+        else:
+            h = s @ weights_t
+            # "clip" writes straight into s; the default "raise" buffers it.
+            # The labels are argmaxes, so no index is clipped.
+            np.take(weights_t, at[1], axis=0, out=s, mode="clip")
+            np.subtract(h, s, out=s)
+            pairs[rows, 0] = norms(s)
+            h -= uniform
+            pairs[rows, 1] = norms(h)
+            del h
+        del s  # so the next block's posterior is formed without these
     if features is not None:
         pairs *= np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)[:, None]
     return pl, pairs

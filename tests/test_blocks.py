@@ -36,7 +36,24 @@ def feature_factor(bundle):
 
 
 def whole_matrix_predict(bundle, config=estimator.EstimatorConfig()):
-    """predict_accuracy's verdicts and norms from full n x C posteriors."""
+    """predict_accuracy's verdicts and norms from full n x C posteriors and one
+    product h = s @ A^T: the gradients are h minus the targets' products, the
+    row of A^T at the pseudo-label and the mean of A^T's rows."""
+    z = bundle.target_logits
+    model = calibrator.fit(z, config)
+    s = calibrator.posterior_matrix(model, z, config.mode)
+    weights_t = np.ascontiguousarray(model.weights.T)
+    h = s @ model.weights.T
+    g_pl = h - weights_t[np.argmax(s, axis=1)]
+    g_u = h - weights_t.mean(axis=0)
+    norm_pl = np.sqrt(np.einsum("nc,nc->n", g_pl, g_pl)) * feature_factor(bundle)
+    norm_u = np.sqrt(np.einsum("nc,nc->n", g_u, g_u)) * feature_factor(bundle)
+    return norm_pl < norm_u, np.column_stack([norm_pl, norm_u])
+
+
+def whole_matrix_predict_three_products(bundle, config=estimator.EstimatorConfig()):
+    """The same from the residuals' own products, (s - t) @ A^T for each target
+    t, after the posterior's (x - c) @ A: the block pass's former arithmetic."""
     z = bundle.target_logits
     n, c = z.shape
     model = calibrator.fit(z, config)
@@ -145,10 +162,27 @@ class TestSingleBlock:
 class TestSingleBlockAtTheWideShape:
     def test_predict_report_bytes(self):
         """The 1500 x 600 head of the wide-head benchmark, with features: the
-        block pass's in-place residuals and reused product change no bit."""
+        block pass's gather into s and in-place residuals change no bit."""
         bundle = head(np.random.default_rng(1500), 1500, 600, features=True)
         report = estimator.predict_accuracy(bundle)
         assert same_report_bytes(report, *whole_matrix_predict(bundle))
+
+
+class TestOneProductAgainstThree:
+    """The block pass's one product per block moves the norms from the
+    three-product form's only in their last bits, and no verdict."""
+
+    @pytest.mark.parametrize("n, c, features, seed", [
+        (900, 300, False, 900), (1500, 600, True, 1500), (MULTI_N, MULTI_C, False, 11)])
+    def test_norms_within_1e_12_and_same_verdicts(self, n, c, features, seed):
+        bundle = head(np.random.default_rng(seed), n, c, features)
+        report = estimator.predict_accuracy(bundle)
+        correct, pairs = whole_matrix_predict_three_products(bundle)
+        tol = 1e-12 * pairs[:, 1].max()
+        assert np.abs(report.grad_norm_pairs - pairs).max() <= tol
+        near_tie = np.abs(pairs[:, 0] - pairs[:, 1]) <= tol
+        np.testing.assert_array_equal(report.per_sample_correct[~near_tie],
+                                      correct[~near_tie].astype(np.int8))
 
 
 class TestTsqrNuclear:

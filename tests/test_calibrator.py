@@ -436,6 +436,20 @@ class TestDiscriminant:
         z = wide_head(np.random.default_rng(479), 40, 3)
         model = fit(z)
         disc = model.discriminant()
-        assert disc.center is model.center and disc.weights is model.weights
-        assert disc.offsets is model.offsets and disc.class_count == 40
+        assert disc.center is model.center and disc.offsets is model.offsets
+        # A is the model's, copied to Fortran order for the gradient pass's gather
+        np.testing.assert_array_equal(disc.weights, model.weights)
+        assert disc.weights.flags.f_contiguous and disc.weights.T.flags.c_contiguous
+        assert disc.class_count == 40
         assert posterior_matrix(disc, z).tobytes() == posterior_matrix(model, z).tobytes()
+
+    @pytest.mark.parametrize("c, rows_per_class, seed", [(3, 8, 487), (300, 3, 491), (600, 2.5, 499)])
+    def test_fortran_order_keeps_the_products_bits(self, c, rows_per_class, seed):
+        """(x - center) @ A and s @ A^T with A in Fortran order, against the
+        model's C-ordered A."""
+        z = wide_head(np.random.default_rng(seed), c, rows_per_class)
+        model = fit(z)
+        disc = model.discriminant()
+        s = posterior_matrix(disc, z)
+        assert s.tobytes() == posterior_matrix(model, z).tobytes()
+        assert (s @ disc.weights.T).tobytes() == (s @ model.weights.T).tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sfpp import baselines, numerics
 from sfpp.calibrator import fit, log_posterior_matrix, posterior_matrix
 from sfpp.errors import DegenerateInputError
 from sfpp.estimator import (
@@ -12,6 +13,7 @@ from sfpp.estimator import (
     Verdict,
     grad_norm_pair,
     grad_wrt_logits,
+    gradient_norms,
     is_correct,
     judge,
     predict_accuracy,
@@ -274,3 +276,64 @@ class TestSymmetries:
             near_tie |= np.abs(pairs[:, 0] - pairs[:, 1]) <= 1e-9 * pairs[:, 1].max()
         np.testing.assert_array_equal(b.per_sample_correct[~near_tie],
                                       a.per_sample_correct[~near_tie])
+
+
+def in_place_softmax_norms(logits, posterior, blocks, features=None):
+    """gradient_norms without weights as it stood before the one-product
+    pass: both residuals formed in s itself, block by block."""
+    n, c = logits.shape
+    pl = np.empty(n, dtype=np.intp)
+    pairs = np.empty((n, 2))
+    for rows in blocks:
+        s = posterior(logits[rows])
+        at = (np.arange(s.shape[0]), np.argmax(s, axis=1))
+        pl[rows] = at[1]
+        top = s[at]
+        s[at] -= 1.0
+        pairs[rows, 0] = np.sqrt(np.einsum("nc,nc->n", s, s))
+        s[at] = top
+        s -= 1.0 / c
+        pairs[rows, 1] = np.sqrt(np.einsum("nc,nc->n", s, s))
+    if features is not None:
+        pairs *= np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)[:, None]
+    return pl, pairs
+
+
+class TestGradientNormsProperty:
+    """gradient_norms on random heads and row blocks of 1 to 50 rows."""
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 64), n=st.integers(1, 120),
+           block=st.integers(1, 50), with_features=st.booleans(),
+           scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), order=st.sampled_from("CF"))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_explicit_residual_products(self, seed, c, n, block, with_features,
+                                                scale, order):
+        rng = np.random.default_rng(seed)
+        z = scale * rng.normal(size=(n, c))
+        weights = np.asarray(rng.normal(size=(c, c)), order=order)
+        features = rng.normal(size=(n, 5)) if with_features else None
+        blocks = [slice(i, min(i + block, n)) for i in range(0, n, block)]
+
+        def posterior(rows):
+            return baselines.softmax(rows).probabilities
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "row_blocks", lambda rows, cols: iter(blocks))
+            pl, pairs = gradient_norms(z, posterior, weights, features)
+            bare_pl, bare = gradient_norms(z, posterior, None, features)
+
+        s = posterior(z)
+        np.testing.assert_array_equal(pl, np.argmax(s, axis=1))
+        factor = np.ones(n) if features is None else np.sqrt(np.sum(features**2, axis=1) + 1.0)
+        onehot = np.eye(c)[np.argmax(s, axis=1)]
+        want = np.column_stack([
+            np.linalg.norm((s - onehot) @ weights.T, axis=1),
+            np.linalg.norm((s - 1.0 / c) @ weights.T, axis=1),
+        ]) * factor[:, None]
+        # ||(s - t) @ A^T|| <= ||s - t|| ||A||_F <= sqrt(2) ||A||_F per unit factor
+        tol = 1e-12 * np.linalg.norm(weights) * factor.max()
+        assert np.abs(pairs - want).max() <= tol
+
+        want_pl, want_bare = in_place_softmax_norms(z, posterior, blocks, features)
+        assert bare_pl.tobytes() == want_pl.tobytes() and bare_pl.tobytes() == pl.tobytes()
+        assert bare.tobytes() == want_bare.tobytes()
