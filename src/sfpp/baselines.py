@@ -49,27 +49,50 @@ def _check_temperature(name: str, value: float) -> None:
         raise DegenerateInputError(f"{name} must be finite and > 0, got {value}")
 
 
-def _scaled(logits, name: str, temperature: float):
-    """logits / temperature and its row maxima. A non-finite maximum raises
-    DegenerateInputError: naming the logits if they hold NaN or Inf (checked
-    on this path only), else naming `name`, whose division overflowed."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(logits, dtype=np.float64) / temperature
-    top = z.max(axis=1, keepdims=True)
+def _exponentials(logits, name: str, temperature: float):
+    """e = exp(z - top) for z = logits / temperature and top its row maxima,
+    with top and the row sums of e. A head of at most
+    ``numerics.NARROW_CLASSES`` classes goes through ``numerics.narrow_exp``
+    and e comes back class-major (C, n); a wider one row-major (n, C). A
+    non-finite maximum raises DegenerateInputError: naming the logits if
+    they hold NaN or Inf (checked on this path only), else `name`, whose
+    division overflowed."""
+    z = np.asarray(logits, dtype=np.float64)
+    narrow = z.shape[1] <= numerics.NARROW_CLASSES
+    if narrow:
+        e, top, sums = numerics.narrow_exp(z, temperature)
+    else:
+        with np.errstate(over="ignore"):
+            e = z / temperature
+        top = e.max(axis=1)
     if not np.all(np.isfinite(top)):
         if not np.all(np.isfinite(logits)):
             raise DegenerateInputError("logits contain non-finite entries")
         raise DegenerateInputError(f"{name} {temperature!r} overflows logits / {name}")
-    return z, top
+    if not narrow:
+        e -= top[:, None]
+        np.exp(e, out=e)
+        sums = e.sum(axis=1)
+    return e, top, sums
 
 
 def softmax(logits, temperature: float = 1.0) -> SoftmaxOutput:
-    """Row-stable softmax of logits / temperature, formed in one new array."""
+    """Row-stable softmax of logits / temperature, formed in one new array.
+    A narrow head is exponentiated class-major one row block at a time, and
+    each block's probabilities are copied into that array."""
     _check_temperature("temperature", temperature)
-    p, top = _scaled(logits, "temperature", temperature)
-    p -= top
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    z = np.asarray(logits, dtype=np.float64)
+    n, c = z.shape
+    if c > numerics.NARROW_CLASSES:
+        p, _, sums = _exponentials(z, "temperature", temperature)
+        p /= sums[:, None]
+        return SoftmaxOutput(probabilities=p)
+    p = np.empty((n, c))
+    for rows in numerics.row_blocks(n, c):
+        e, _, sums = _exponentials(z[rows], "temperature", temperature)
+        e /= sums
+        np.copyto(p[rows], e.T)
+        del e  # so the next block's buffer is formed without this one
     return SoftmaxOutput(probabilities=p)
 
 
@@ -131,15 +154,24 @@ def gradnorm(bundle: DatasetBundle, temperature: float = 1.0) -> EstimateReport:
 # ------------------------------------------------------------- source-based
 
 def _block_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:
+    """maxprob is 1 / sum_j exp(z_j - max z): the argmax entry of a softmax
+    row is exp(0) / sum = 1 / sum and no other exceeds it, so p is not
+    formed. energy takes log-sum-exp from the one row maximum."""
     if score == "maxprob":
-        return softmax(logits).probabilities.max(axis=1)
+        return 1.0 / _exponentials(logits, "temperature", 1.0)[2]
     if score == "negentropy":
-        p = softmax(logits).probabilities
+        narrow = logits.shape[1] <= numerics.NARROW_CLASSES
+        if narrow:
+            p, _, sums = _exponentials(logits, "temperature", 1.0)
+            p /= sums  # class-major
+        else:
+            p = softmax(logits).probabilities
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
-        return terms.sum(axis=1)
+        return numerics.class_sums(terms) if narrow else terms.sum(axis=1)
     t = energy_temperature
-    return t * numerics.logsumexp(_scaled(logits, "energy_temperature", t)[0], axis=1)
+    _, top, sums = _exponentials(logits, "energy_temperature", t)
+    return t * (np.log(sums) + top)
 
 
 def _atc_scores(logits: np.ndarray, score: str, energy_temperature: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, estimator, ingest
+from . import baselines, estimator, ingest, numerics
 from .errors import DegenerateInputError, InputError, SfppError
 from .ingest import DatasetBundle
 
@@ -275,36 +275,6 @@ def generate(scenario: BenchScenario) -> GeneratedData:
     return GeneratedData(train_x, train_y, val_x, val_y, target_x, target_y)
 
 
-def _class_sums(s: np.ndarray, out: np.ndarray, acc: np.ndarray) -> None:
-    """Per-column sums of class-major `s` (m, n) into `out`, each added in the
-    order numpy's pairwise sum adds a contiguous row of m: below 8 terms a
-    plain chain; up to 128 eight running sums, folded as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms past the last full
-    eight; above 128 the sum of two halves, the first a multiple of 8 long.
-    `acc` is an (8, n) scratch buffer."""
-    m = s.shape[0]
-    if m < 8:
-        np.copyto(out, s[0])
-        for row in s[1:]:
-            out += row
-    elif m <= 128:
-        full = m - m % 8
-        np.copyto(acc, s[:8])
-        for i in range(8, full, 8):
-            acc += s[i:i + 8]
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-            acc[i] += acc[j]  # row by row: a strided in-place add would copy
-        np.add(acc[0], acc[4], out=out)
-        for row in s[full:]:
-            out += row
-    else:
-        half = m // 2 - m // 2 % 8
-        rest = np.empty_like(out)
-        _class_sums(s[:half], out, acc)
-        _class_sums(s[half:], rest, acc)
-        out += rest
-
-
 def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
                      learning_rate: float, iterations: int):
     """Multinomial logistic regression by full-batch gradient descent.
@@ -320,8 +290,9 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
     copy of z, so its passes go over rows of length n, not n rows of
     length C, and reproduces three reduction orders: the row maximum is a
     maximum over axis 0 (exact in any order), the row sums add in numpy's
-    pairwise order (`_class_sums`), and the bias gradient sums a row-major
-    g over its rows one after another, as ``g.sum(axis=0)`` does.
+    pairwise order through ``numerics.class_sums`` (the routine the narrow
+    softmax and log-sum-exp use), and the bias gradient sums a row-major g
+    over its rows one after another, as ``g.sum(axis=0)`` does.
     Overflow is not reported here: a run that leaves the float range
     yields non-finite logits, which the estimators refuse.
     """
@@ -346,7 +317,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
             np.maximum.reduce(s, axis=0, out=row_max)
             s -= row_max
             np.exp(s, out=s)
-            _class_sums(s, row_sum, acc)
+            numerics.class_sums(s, row_sum, acc)
             s /= row_sum
             s_flat[label_flat] -= 1.0
             np.copyto(g, s.T)

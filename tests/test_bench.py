@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfpp import baselines, bench, estimator
+from sfpp import baselines, bench, estimator, numerics
 from sfpp.errors import DegenerateInputError
 from sfpp.ingest import DatasetBundle
 from tests.test_cli import env_with_src
@@ -229,7 +229,7 @@ class TestTrainClassifier:
         for m in [*range(1, 300), 1000]:
             rows = rng.random((5, m))
             out = np.empty(5)
-            bench._class_sums(np.ascontiguousarray(rows.T), out, acc)
+            numerics.class_sums(np.ascontiguousarray(rows.T), out, acc)
             assert out.tobytes() == rows.sum(axis=1).tobytes(), m
 
     def test_wide_scenario_golden(self):

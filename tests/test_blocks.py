@@ -368,3 +368,47 @@ class TestPeakMemory:
         want = np.vstack([calibrator.posterior_matrix(calibrator.fit(z), z[rows])
                           for rows in numerics.row_blocks(*z.shape)])
         assert posteriors.tobytes() == want.tobytes()
+
+    # The guards below run a 10^5 x 20 head, whose blocks of 13107 rows take
+    # the class-major path (numerics.narrow_exp), and bound each pass at its
+    # peak measured there, in blocks, plus half a block. A narrow block is
+    # exponentiated in a class-major copy of itself, and its row sums take
+    # an (8, rows) accumulator, 0.4 of a block at 20 classes.
+
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        return head(np.random.default_rng(41), 100_000, 20)
+
+    @pytest.mark.parametrize("score, blocks", [
+        ("maxprob", 2.0),      # measured 1.50: the class-major block and the accumulator
+        ("negentropy", 3.75),  # measured 3.23: class-major p, log p and their product
+        ("energy", 2.0),       # measured 1.50: as maxprob, with one row maximum
+    ])
+    def test_narrow_atc_scores_hold_one_block_at_a_time(self, narrow, score, blocks):
+        z = narrow.target_logits
+        peak = self.peak_bytes(lambda: baselines._atc_scores(z, score, 1.0))
+        assert peak - z.shape[0] * 8 < blocks * self.block_bytes(z)
+
+    def test_narrow_softmax_gradient_norms_hold_one_block_at_a_time(self, narrow):
+        """Measured 2.65 blocks: s, and while s is formed, the class-major
+        block and the accumulator."""
+        z = narrow.target_logits
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: baselines.softmax(block).probabilities))
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < 3.15 * self.block_bytes(z)
+
+    def test_narrow_posterior_matrix_holds_one_block_at_a_time(self, narrow):
+        """Measured 2.60 blocks through gradient_norms with a fitted head: the
+        scores, and while their log-sum-exp is taken, the class-major block
+        and the accumulator; then s and h."""
+        z = narrow.target_logits
+        disc = calibrator.fit(z).discriminant()
+        peak = self.peak_bytes(lambda: estimator.gradient_norms(
+            z, lambda block: calibrator.posterior_matrix(disc, block), disc.weights))
+        assert peak - self.norm_outputs_bytes(z.shape[0]) < 3.1 * self.block_bytes(z)
+
+    def test_narrow_nuclear_holds_one_block_at_a_time(self, narrow):
+        """Measured 2.50 blocks: the softmax rows, and while they are formed,
+        the class-major block and the accumulator."""
+        peak = self.peak_bytes(lambda: baselines.nuclear_norm_score(narrow))
+        assert peak < 3.0 * self.block_bytes(narrow.target_logits)

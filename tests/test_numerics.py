@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfpp import baselines, calibrator, numerics
 from sfpp.errors import DegenerateInputError, SingularMatrixError
 from sfpp.numerics import (
     cholesky_with_jitter,
@@ -270,6 +271,147 @@ class TestLogsumexp:
     def test_shift_invariance(self, values, c):
         v = np.asarray(values)
         assert abs(logsumexp(v + c) - (logsumexp(v) + c)) < 1e-12
+
+
+# ------------------------------------------------- narrow rows, class-major
+#
+# Heads of at most numerics.NARROW_CLASSES classes reduce their rows on a
+# class-major copy. These references are the row-major forms that path
+# replaced; every result must equal theirs bit for bit.
+
+def rowmajor_logsumexp(v):
+    m = v.max(axis=1, keepdims=True)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    shifted = v - safe
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        out = np.log(shifted.sum(axis=1, keepdims=True)) + safe
+    return np.where(np.isfinite(m), out, m)[:, 0]
+
+
+def rowmajor_softmax(z, temperature=1.0):
+    p = z / temperature
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def rowmajor_score(z, score, energy_temperature):
+    if score == "maxprob":
+        return rowmajor_softmax(z).max(axis=1)
+    if score == "negentropy":
+        p = rowmajor_softmax(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+    t = energy_temperature
+    return t * rowmajor_logsumexp(z / t)
+
+
+def rowmajor_log_posterior(disc, x):
+    scores = (x - disc.center) @ disc.weights
+    scores += disc.offsets
+    scores -= rowmajor_logsumexp(scores)[:, None]
+    return scores
+
+
+def rowmajor_posterior(disc, x):
+    p = np.exp(rowmajor_log_posterior(disc, x))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def random_discriminant(rng, c):
+    return calibrator.Discriminant(center=rng.normal(size=c),
+                                   weights=np.asfortranarray(rng.normal(size=(c, c))),
+                                   offsets=rng.normal(size=c))
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def narrow_heads(draw):
+    """Logits of 2 to one past NARROW_CLASSES classes and 1 to 3000 rows (the
+    class-major copy goes 256 rows at a time), at scales from 0.01 to 300,
+    rounded to whole numbers half of the time so that ties are common, with
+    some rows all equal and some tied at their maximum."""
+    c = draw(st.integers(2, numerics.NARROW_CLASSES + 1))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(n, c)) * draw(st.sampled_from([0.01, 1.0, 30.0, 300.0]))
+    if draw(st.booleans()):
+        z = np.round(z)
+    equal = rng.random(n) < 0.05
+    z[equal] = z[equal, :1]
+    tied = np.flatnonzero(rng.random(n) < 0.05)
+    z[tied, 1] = z[tied].max(axis=1)
+    z[tied, 0] = z[tied, 1]
+    return z, rng
+
+
+class TestNarrowRowsBitIdentical:
+    @given(narrow_heads(), st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_narrow_path_equals_the_rowmajor_form(self, head, temperature):
+        z, rng = head
+        same_bits(baselines.softmax(z, temperature).probabilities,
+                  rowmajor_softmax(z, temperature))
+        same_bits(baselines.softmax(z).probabilities, rowmajor_softmax(z))
+        for score in baselines.ATC_SCORES:
+            same_bits(baselines._atc_scores(z, score, temperature),
+                      rowmajor_score(z, score, temperature))
+        same_bits(logsumexp(z, axis=1), rowmajor_logsumexp(z))
+        disc = random_discriminant(rng, z.shape[1])
+        same_bits(calibrator.log_posterior_matrix(disc, z), rowmajor_log_posterior(disc, z))
+        same_bits(calibrator.posterior_matrix(disc, z), rowmajor_posterior(disc, z))
+
+    @given(narrow_heads(), st.floats(0.0, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_logsumexp_with_empty_terms(self, head, share):
+        """-inf entries, and whole rows of them, which sum to -inf."""
+        z, rng = head
+        z[rng.random(z.shape) < share] = -np.inf
+        z[rng.random(z.shape[0]) < 0.05] = -np.inf
+        same_bits(logsumexp(z, axis=1), rowmajor_logsumexp(z))
+
+    @pytest.mark.parametrize("c", [20, numerics.NARROW_CLASSES])
+    def test_across_row_blocks(self, c):
+        """Two row blocks and a tail of 7 rows: each block is copied and
+        reduced on its own."""
+        rows = next(row_blocks(10**6, c))
+        n = 2 * (rows.stop - rows.start) + 7
+        rng = np.random.default_rng(c)
+        z = rng.normal(size=(n, c)) * 4.0
+        same_bits(baselines.softmax(z, 0.3).probabilities, rowmajor_softmax(z, 0.3))
+        for score in baselines.ATC_SCORES:
+            same_bits(baselines._atc_scores(z, score, 2.0), rowmajor_score(z, score, 2.0))
+        disc = random_discriminant(rng, c)
+        same_bits(calibrator.posterior_matrix(disc, z), rowmajor_posterior(disc, z))
+
+    def test_max_probability_is_one_over_the_sum_at_every_width(self):
+        for c in (3, numerics.NARROW_CLASSES, numerics.NARROW_CLASSES + 1, 300):
+            z = np.random.default_rng(c).normal(size=(500, c)) * 5.0
+            same_bits(baselines._atc_scores(z, "maxprob", 1.0),
+                      rowmajor_score(z, "maxprob", 1.0))
+
+    @pytest.mark.parametrize("c", [2, 20, numerics.NARROW_CLASSES])
+    def test_one_row_input_is_left_unmodified(self, c):
+        """A transpose view of one row is the row itself; the class-major
+        buffer must be a new array, or the shift writes into the input."""
+        rng = np.random.default_rng(c)
+        v = rng.normal(size=(1, c)) + 5.0
+        kept = v.copy()
+        same_bits(logsumexp(v, axis=1), rowmajor_logsumexp(kept))
+        same_bits(v, kept)
+        same_bits(baselines.softmax(v).probabilities, rowmajor_softmax(kept))
+        same_bits(v, kept)
+        disc = random_discriminant(rng, c)
+        x = v[0]
+        same_bits(calibrator.log_posterior(disc, x), rowmajor_log_posterior(disc, kept)[0])
+        same_bits(x, kept[0])
 
 
 # ------------------------------------------------------------ nuclear norm
