@@ -143,7 +143,7 @@ def gradnorm(bundle: DatasetBundle, temperature: float = 1.0) -> EstimateReport:
     n = bundle.n_target
     _, pairs = estimator.gradient_norms(
         bundle.target_logits, lambda rows: softmax(rows, temperature).probabilities,
-        features=bundle.target_features,
+        factor=bundle.feature_factor,
     )
     correct = estimator.is_correct(pairs[:, 0], pairs[:, 1])
     return EstimateReport.since(t0, "gradnorm", np.count_nonzero(correct) / n, n,
@@ -167,7 +167,10 @@ def _block_scores(logits: np.ndarray, score: str, energy_temperature: float) -> 
         else:
             p = softmax(logits).probabilities
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log(p), 0.0)
+            terms = np.log(p)
+            terms *= p
+        terms[p == 0.0] = 0.0  # 0 log 0 is 0, not 0 * -inf
+        del p  # so the row sums are taken without it
         return numerics.class_sums(terms) if narrow else terms.sum(axis=1)
     t = energy_temperature
     _, top, sums = _exponentials(logits, "energy_temperature", t)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, estimator, ingest, numerics
+from . import baselines, calibrator, estimator, ingest, numerics
 from .errors import DegenerateInputError, InputError, SfppError
 from .ingest import DatasetBundle
 
@@ -294,7 +294,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray, class_count: int,
     softmax and log-sum-exp use), and the bias gradient sums a row-major g
     over its rows one after another, as ``g.sum(axis=0)`` does.
     Overflow is not reported here: a run that leaves the float range
-    yields non-finite logits, which the estimators refuse.
+    yields non-finite logits, which ``run_scenario`` refuses.
     """
     n, d = x.shape
     w = np.zeros((class_count, d))
@@ -380,7 +380,8 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     )
     target_logits = logits_of(data.target_x, w, b)
     val_logits = logits_of(data.val_x, w, b)
-    true_acc = float(np.mean(np.argmax(target_logits, axis=1) == data.target_y))
+    # non-finite logits are refused here, before the bundle's rules on the features
+    true_acc = float(np.mean(calibrator.pseudo_labels(target_logits) == data.target_y))
     n_val = scenario.n_val
     counts = [subsample_size(ratio, n_val) for ratio in ratios]
 

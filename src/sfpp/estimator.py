@@ -19,7 +19,7 @@ import numpy as np
 from . import calibrator, numerics
 from .calibrator import CalibratorConfig, GaussianModel
 from .errors import DegenerateInputError
-from .ingest import DatasetBundle, EstimateReport
+from .ingest import DatasetBundle, EstimateReport, row_factor
 
 METHOD_ID = "calibrated-gradnorm"
 
@@ -55,14 +55,14 @@ def grad_wrt_logits(model: GaussianModel, x, target) -> np.ndarray:
     return (s - target) @ model.weights.T
 
 
-def gradient_norms(logits, posterior, weights=None, features=None):
+def gradient_norms(logits, posterior, weights=None, factor=None):
     """Pseudo-labels, and (n, 2) gradient norms toward them and toward uniform.
 
     Per ``numerics.row_blocks`` block, ``posterior`` maps the logit rows to
     probability rows s; the pseudo-label is their argmax, and each gradient
     is s minus its target, times ``weights.T`` when weights are given.
-    Feature rows f scale both norms by sqrt(||f||^2 + 1), the Frobenius
-    factor of the rank-1 last-layer gradient.
+    ``factor`` scales both norms of each row: for features f it is
+    ``ingest.row_factor``'s sqrt(||f||^2 + 1), a bundle's ``feature_factor``.
 
     With weights A a block forms one product, h = s @ A^T, and takes each
     gradient as (s - t) @ A^T = h - t @ A^T: t @ A^T is row pl of A^T for
@@ -104,8 +104,8 @@ def gradient_norms(logits, posterior, weights=None, features=None):
             pairs[rows, 1] = norms(h)
             del h
         del s  # so the next block's posterior is formed without these
-    if features is not None:
-        pairs *= np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)[:, None]
+    if factor is not None:
+        pairs *= factor[:, None]
     return pl, pairs
 
 
@@ -125,10 +125,10 @@ def grad_norm_pair(model: GaussianModel, x,
     """
     if feature_norm is not None and not feature_norm > 0.0:
         raise DegenerateInputError(f"feature_norm must be positive, got {feature_norm}")
-    features = None if feature_norm is None else np.array([[feature_norm]], dtype=np.float64)
+    factor = None if feature_norm is None else row_factor(np.array([[float(feature_norm)]]))
     _, pairs = gradient_norms(np.asarray(x, dtype=np.float64)[None, :],
                               lambda rows: calibrator.posterior_matrix(model, rows),
-                              model.weights, features)
+                              model.weights, factor)
     return float(pairs[0, 0]), float(pairs[0, 1])
 
 
@@ -149,7 +149,7 @@ def predict_accuracy(bundle: DatasetBundle,
     disc = calibrator.fit(z, config).discriminant()
     pl_idx, pairs = gradient_norms(
         z, lambda rows: calibrator.posterior_matrix(disc, rows),
-        disc.weights, bundle.target_features,
+        disc.weights, bundle.feature_factor,
     )
     correct = is_correct(pairs[:, 0], pairs[:, 1], config.eq5_literal)
     echo = asdict(config)

@@ -5,12 +5,14 @@ C-order, rank 1 or 2) and plain CSV with an optional header line. Reports are
 written as JSON with a fixed key order and 17-significant-digit reals so a
 given report always serializes to the same bytes. A `DatasetBundle` checks its
 arrays when it is built; `load_bundle` only reads them, and refuses an empty
-validation split.
+validation split. Features are kept as one factor per row, and a features
+file is reduced to it while it is read.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import math
 import os
@@ -48,23 +50,43 @@ def _as_labels(name: str, arr) -> np.ndarray:
     return arr
 
 
+def row_factor(features: np.ndarray) -> np.ndarray:
+    """sqrt(||f||^2 + 1) for each row f: the Frobenius factor of the rank-1
+    last-layer gradient, the only way the gradient norms read the features."""
+    return np.sqrt(np.einsum("nd,nd->n", features, features) + 1.0)
+
+
+class FeatureRows(NamedTuple):
+    """A features matrix as ``read_features`` reduced it."""
+
+    shape: tuple[int, int]
+    factor: np.ndarray  # row_factor of the matrix
+
+
 @dataclass(frozen=True)
 class DatasetBundle:
     """Everything an estimator may consume, checked on construction however
     it was built: arrays are stored as float64, labels as int64, and one
-    already in that dtype is kept, not copied."""
+    already in that dtype is kept, not copied.
+
+    ``feature_factor`` is ``row_factor`` of ``target_features``: a matrix
+    built in code, which is kept, or the ``FeatureRows`` that ``load_bundle``
+    reads from a file in its place. It is derived on construction, replacing
+    any value passed in, and is not a manifest key."""
 
     target_logits: np.ndarray
     class_count: int
-    target_features: np.ndarray | None = None
+    target_features: np.ndarray | FeatureRows | None = None
     last_layer_weights: np.ndarray | None = None
     last_layer_bias: np.ndarray | None = None
     val_logits: np.ndarray | None = None
     val_labels: np.ndarray | None = None
+    feature_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        """Every rule about the arrays, O(validation rows) beyond the casts. An
-        empty validation split passes: estimators that need one refuse it."""
+        """Every rule about the arrays, O(validation rows) beyond the casts and
+        the features' factor. An empty validation split passes: estimators
+        that need one refuse it."""
         logits = self._coerce("target_logits", _as_2d)
         n_t, c = logits.shape
         if n_t < 1 or c < 2:
@@ -73,20 +95,31 @@ class DatasetBundle:
         if self.class_count != c:
             raise BundleValidationError(
                 f"class_count is {self.class_count} but target_logits has {c} columns")
-        features = self._coerce("target_features", _as_2d)
-        if features is not None and features.shape[0] != n_t:
-            raise BundleValidationError(
-                f"target_features has {features.shape[0]} rows but target_logits has {n_t}"
-            )
+        shape = factor = None
+        if isinstance(self.target_features, FeatureRows):
+            shape, factor = self.target_features
+        elif self.target_features is not None:
+            features = self._coerce("target_features", _as_2d)
+            shape, factor = features.shape, row_factor(features)
+        if factor is not None:
+            if factor.shape[0] != n_t:
+                raise BundleValidationError(
+                    f"target_features has {factor.shape[0]} rows but target_logits has {n_t}"
+                )
+            if not numerics.all_finite(factor):
+                row = np.flatnonzero(~np.isfinite(factor))[0]
+                raise BundleValidationError(
+                    f"target_features row {row}: sqrt(||f||^2 + 1) is not finite")
+        object.__setattr__(self, "feature_factor", factor)
         weights = self._coerce("last_layer_weights", _as_2d)
         if weights is not None and weights.shape[0] != c:
             raise BundleValidationError(
                 f"last_layer_weights has {weights.shape[0]} rows but target_logits implies C={c}"
             )
-        if weights is not None and features is not None and weights.shape[1] != features.shape[1]:
+        if weights is not None and shape is not None and weights.shape[1] != shape[1]:
             raise BundleValidationError(
                 f"last_layer_weights width {weights.shape[1]} mismatches "
-                f"target_features width {features.shape[1]}"
+                f"target_features width {shape[1]}"
             )
         if self.last_layer_bias is not None:
             bias = np.asarray(self.last_layer_bias, dtype=np.float64)
@@ -162,60 +195,102 @@ def read_array(path) -> np.ndarray:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".npy":
-        arr = _read_npy(path)
+        with open(path, "rb") as fh:
+            dtype, shape = _npy_header(fh, path)
+            arr = np.empty(shape, dtype=dtype)
+            _read_payload(fh, path, arr.reshape(-1), 0, arr.nbytes)
+        if dtype == np.float32:
+            arr = arr.astype(np.float64)
     elif suffix == ".csv":
         arr = _read_csv(path)
     else:
         raise ArrayFormatError(f"{path}: unsupported extension {suffix!r} (expected .npy or .csv)")
+    _check_finite(path, arr)
+    return arr
+
+
+def read_features(path) -> FeatureRows | np.ndarray:
+    """A features file as the bundle keeps it: its ``FeatureRows``, so the
+    matrix is never held. An NPY matrix is read in ``numerics.row_blocks``
+    blocks into one buffer, each cast to float64, checked finite and reduced
+    by ``row_factor``; a CSV is read whole, then reduced. Any other array is
+    returned as ``read_array`` reads it, for the bundle to refuse."""
+    path = Path(path)
+    if path.suffix.lower() == ".npy":
+        with open(path, "rb") as fh:
+            dtype, shape = _npy_header(fh, path)
+            if len(shape) == 2:
+                return FeatureRows(shape, _reduce_rows(fh, path, dtype, *shape))
+    arr = read_array(path)
+    return FeatureRows(arr.shape, row_factor(arr)) if arr.ndim == 2 else arr
+
+
+def _reduce_rows(fh, path: Path, dtype: np.dtype, n: int, d: int) -> np.ndarray:
+    """``row_factor`` of the (n, d) payload at fh, block by block."""
+    factor = np.empty(n)
+    first = next(numerics.row_blocks(n, d), slice(0, 0))
+    buffer = np.empty((first.stop - first.start) * d, dtype=dtype)
+    for rows in numerics.row_blocks(n, d):
+        m = rows.stop - rows.start
+        block = buffer[:m * d]
+        _read_payload(fh, path, block, rows.start * d * dtype.itemsize, n * d * dtype.itemsize)
+        block = block.reshape(m, d).astype(np.float64, copy=False)
+        _check_finite(path, block)
+        factor[rows] = row_factor(block)
+    return factor
+
+
+def _check_finite(path: Path, arr: np.ndarray) -> None:
     if arr.dtype.kind == "f" and not numerics.all_finite(arr):
         raise ArrayFormatError(f"{path}: contains NaN or Inf entries")
-    return arr
 
 
-def _read_npy(path: Path) -> np.ndarray:
-    """Parse the header, then read the payload straight into a new array,
-    so the data are held once (<f4 adds its float64 copy)."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        lead = fh.read(10)
-        if len(lead) < 10 or lead[:6] != _NPY_MAGIC:
-            raise ArrayFormatError(f"{path}: bad magic bytes, not an NPY file")
-        major, minor = lead[6], lead[7]
-        if (major, minor) != (1, 0):
-            raise ArrayFormatError(f"{path}: unsupported NPY version {major}.{minor}")
-        header_len = int.from_bytes(lead[8:10], "little")
-        header_end = 10 + header_len
-        if size < header_end:
-            raise ArrayFormatError(f"{path}: truncated header")
-        try:
-            header = ast.literal_eval(fh.read(header_len).decode("latin1"))
-        except (ValueError, SyntaxError) as exc:
-            raise ArrayFormatError(f"{path}: unparseable header: {exc}") from exc
-        if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-            raise ArrayFormatError(f"{path}: header must have exactly descr/fortran_order/shape")
-        descr = header["descr"]
-        if descr not in _READ_DTYPES:
-            raise ArrayFormatError(f"{path}: unsupported dtype {descr!r} (need <f4, <f8 or <i8)")
-        if header["fortran_order"]:
-            raise ArrayFormatError(f"{path}: fortran_order arrays are not supported")
-        shape = header["shape"]
-        if not isinstance(shape, tuple) or len(shape) not in (1, 2) or any(
-            not isinstance(s, int) or s < 0 for s in shape
-        ):
-            raise ArrayFormatError(f"{path}: shape must be a rank-1 or rank-2 tuple, got {shape!r}")
-        dtype = np.dtype(_READ_DTYPES[descr])
-        expected = math.prod(shape) * dtype.itemsize
-        if size - header_end != expected:
-            raise ArrayFormatError(
-                f"{path}: payload holds {size - header_end} bytes, header implies {expected}"
-            )
-        arr = np.empty(shape, dtype=dtype)
-        got = fh.readinto(arr.reshape(-1).view(np.uint8))
-        if got != expected:  # the file shrank after it was measured
-            raise ArrayFormatError(f"{path}: payload holds {got} bytes, header implies {expected}")
-    if descr == "<f4":
-        arr = arr.astype(np.float64)
-    return arr
+def _npy_header(fh, path: Path) -> tuple[np.dtype, tuple[int, ...]]:
+    """The dtype and shape of the NPY file open at fh, once its header and
+    its payload's length are checked; fh is left at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    lead = fh.read(10)
+    if len(lead) < 10 or lead[:6] != _NPY_MAGIC:
+        raise ArrayFormatError(f"{path}: bad magic bytes, not an NPY file")
+    major, minor = lead[6], lead[7]
+    if (major, minor) != (1, 0):
+        raise ArrayFormatError(f"{path}: unsupported NPY version {major}.{minor}")
+    header_len = int.from_bytes(lead[8:10], "little")
+    header_end = 10 + header_len
+    if size < header_end:
+        raise ArrayFormatError(f"{path}: truncated header")
+    try:
+        header = ast.literal_eval(fh.read(header_len).decode("latin1"))
+    except (ValueError, SyntaxError) as exc:
+        raise ArrayFormatError(f"{path}: unparseable header: {exc}") from exc
+    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
+        raise ArrayFormatError(f"{path}: header must have exactly descr/fortran_order/shape")
+    descr = header["descr"]
+    if descr not in _READ_DTYPES:
+        raise ArrayFormatError(f"{path}: unsupported dtype {descr!r} (need <f4, <f8 or <i8)")
+    if header["fortran_order"]:
+        raise ArrayFormatError(f"{path}: fortran_order arrays are not supported")
+    shape = header["shape"]
+    if not isinstance(shape, tuple) or len(shape) not in (1, 2) or any(
+        not isinstance(s, int) or s < 0 for s in shape
+    ):
+        raise ArrayFormatError(f"{path}: shape must be a rank-1 or rank-2 tuple, got {shape!r}")
+    dtype = np.dtype(_READ_DTYPES[descr])
+    expected = math.prod(shape) * dtype.itemsize
+    if size - header_end != expected:
+        raise ArrayFormatError(
+            f"{path}: payload holds {size - header_end} bytes, header implies {expected}"
+        )
+    return dtype, shape
+
+
+def _read_payload(fh, path: Path, out: np.ndarray, before: int, expected: int) -> None:
+    """Fill the contiguous 1-D ``out`` with the next payload bytes at fh, of
+    which ``before`` were read already and ``expected`` are due in all."""
+    got = fh.readinto(out.view(np.uint8))
+    if got != out.nbytes:  # the file shrank after it was measured
+        raise ArrayFormatError(
+            f"{path}: payload holds {before + got} bytes, header implies {expected}")
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -265,12 +340,19 @@ def write_array(path, values) -> None:
 def write_rows(path, shape: tuple[int, ...], blocks, descr: str = "<f8") -> None:
     """Write the NPY v1.0 ``descr`` file, C order, of an array of ``shape``
     (rank 1 or 2) from its row blocks in order; a failed block leaves no file."""
+    with _new_file(path) as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": tuple(shape)})
+        for block in blocks:
+            np.ascontiguousarray(block, dtype=descr).tofile(fh)
+
+
+@contextlib.contextmanager
+def _new_file(path):
+    """The binary file ``path`` opened for writing, and removed if the block raises."""
     try:
         with open(path, "wb") as fh:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": descr, "fortran_order": False, "shape": tuple(shape)})
-            for block in blocks:
-                np.ascontiguousarray(block, dtype=descr).tofile(fh)
+            yield fh
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
@@ -278,7 +360,8 @@ def write_rows(path, shape: tuple[int, ...], blocks, descr: str = "<f8") -> None
 
 # ----------------------------------------------------------------- bundles
 
-BUNDLE_KEYS = tuple(f.name for f in fields(DatasetBundle) if f.name != "class_count")
+BUNDLE_KEYS = tuple(f.name for f in fields(DatasetBundle)
+                    if f.name not in ("class_count", "feature_factor"))
 
 
 def read_manifest(path) -> dict:
@@ -305,13 +388,17 @@ def read_manifest(path) -> dict:
 
 def load_bundle(manifest: dict) -> DatasetBundle:
     """Read the arrays a manifest names (key -> path or ndarray) into a bundle,
-    which checks them; the validation split it loads must not be empty."""
+    which checks them; the validation split it loads must not be empty. A
+    features file is reduced as it is read (``read_features``)."""
     arrays = {}
     for key, value in manifest.items():
         if key not in BUNDLE_KEYS:
             raise BundleValidationError(f"unknown manifest key {key!r}")
-        if value is not None:
-            arrays[key] = value if isinstance(value, np.ndarray) else read_array(value)
+        if isinstance(value, np.ndarray):
+            arrays[key] = value
+        elif value is not None:
+            read = read_features if key == "target_features" else read_array
+            arrays[key] = read(value)
     if "target_logits" not in arrays:
         raise BundleValidationError("manifest is missing the mandatory target_logits array")
     logits = arrays["target_logits"]
@@ -347,7 +434,10 @@ _DIGIT_CELLS = np.frombuffer(b"0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ", dtype=np.uint8).
 #   columns 40-47  the exponent and the separator that follow the number
 # A cell keeps columns [start, 19), the point and the fraction up to its last
 # nonzero digit if there is one, and its suffix; one mask compacts a chunk.
-_CHUNK = 1 << 14
+# A chunk's arrays take about 355 bytes per value, 1.5 MB at 4096 values (5.8
+# MB at 16384, which rendered 10^5 x 2 no faster), and bound a written
+# report's peak.
+_CHUNK = 1 << 12
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for 53-bit significands
 _SUFFIXES = [exp + sep for exp in ("", "e-05", "e-06") for sep in (", ", "], [", "]]")]
 _POINT_WORD, _SUFFIX_WORD = 10_000, 11_000  # where "000." and the suffixes start in words
@@ -484,21 +574,45 @@ def _render_reals(x: np.ndarray, first: int, width: int, total: int) -> np.ndarr
     return cells[t.keep.take((start * 21 + frac_len) * 9 + suffix, axis=0)]
 
 
-def _fmt_json(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu":
-        if value.size and value.min() >= 0 and value.max() <= 9:  # every verdict vector
-            return "[%s]" % _DIGIT_CELLS.take(value, axis=0).tobytes()[:-2].decode("ascii")
-    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f":
+def _json_pieces(value, indent: int):
+    """The JSON text of ``value`` as UTF-8 pieces in order, each made once:
+    a dict key by key, a list item by item, a verdict vector whole and a
+    real matrix one chunk at a time."""
+    if (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biu"
+            and value.size and value.min() >= 0 and value.max() <= 9):  # every verdict vector
+        yield from (b"[", _DIGIT_CELLS.take(value, axis=0).reshape(-1)[:-2], b"]")
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f":
         if not numerics.all_finite(value):
             bad = value[~np.isfinite(value)][0]
             raise ValueError(f"report holds a non-finite real: {float(bad)}")
         if not value.size:
-            return "[%s]" % ", ".join(["[]"] * value.shape[0])
+            yield ("[%s]" % ", ".join(["[]"] * value.shape[0])).encode("ascii")
+            return
         flat = np.ascontiguousarray(value, dtype=np.float64).reshape(-1)
-        chunks = (_render_reals(flat[lo:lo + _CHUNK], lo, value.shape[1], flat.size)
-                  for lo in range(0, flat.size, _CHUNK))
-        return b"".join([b"[[", *chunks]).decode("ascii")
+        yield b"[["
+        for lo in range(0, flat.size, _CHUNK):
+            yield _render_reals(flat[lo:lo + _CHUNK], lo, value.shape[1], flat.size)
+    elif isinstance(value, dict):
+        pad = "  " * indent
+        sep = "{\n"
+        for k in value:
+            yield f"{sep}{pad}  {_json_scalar(str(k))}: ".encode("utf-8")
+            yield from _json_pieces(value[k], indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}}}".encode("ascii") if value else b"{}"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        seq = list(value)
+        sep = b"["
+        for v in seq:
+            yield sep
+            yield from _json_pieces(v, indent)
+            sep = b", "
+        yield b"]" if seq else b"[]"
+    else:
+        yield _json_scalar(value).encode("utf-8")
+
+
+def _json_scalar(value) -> str:
     if isinstance(value, str):
         return '"%s"' % value.translate(_JSON_ESCAPES)
     if isinstance(value, bool):
@@ -509,19 +623,11 @@ def _fmt_json(value, indent: int) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_real(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}  {_fmt_json(str(k), 0)}: {_fmt_json(value[k], indent + 1)}" for k in value
-        )
-        return "{\n%s\n%s}" % (items, pad)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        return "[%s]" % ", ".join(_fmt_json(v, indent) for v in seq)
     raise TypeError(f"unserializable report value of type {type(value)!r}")
+
+
+def _fmt_json(value, indent: int) -> str:
+    return b"".join(_json_pieces(value, indent)).decode("utf-8")
 
 
 def to_json_text(value) -> str:
@@ -529,8 +635,8 @@ def to_json_text(value) -> str:
     return _fmt_json(value, 0) + "\n"
 
 
-def report_to_json(report: EstimateReport) -> str:
-    """Serialize with the fixed key order; reals carry 17 significant digits."""
+def _report_doc(report: EstimateReport) -> dict:
+    """The report's fields in their fixed key order."""
     doc: dict = {
         "method": report.method,
         "predicted_accuracy": float(report.predicted_accuracy),
@@ -543,8 +649,18 @@ def report_to_json(report: EstimateReport) -> str:
     doc["config"] = {k: report.config_echo[k] for k in sorted(report.config_echo)}
     doc["elapsed_ms"] = float(report.elapsed_ms)
     doc["seed"] = report.seed
-    return to_json_text(doc)
+    return doc
+
+
+def report_to_json(report: EstimateReport) -> str:
+    """Serialize with the fixed key order; reals carry 17 significant digits."""
+    return to_json_text(_report_doc(report))
 
 
 def write_report(report: EstimateReport, path) -> None:
-    Path(path).write_bytes(report_to_json(report).encode("utf-8"))
+    """Write ``report_to_json``'s text, each piece as soon as it is rendered,
+    so the whole text is never held; a failed render or write leaves no file."""
+    with _new_file(path) as fh:
+        for piece in _json_pieces(_report_doc(report), 0):
+            fh.write(piece)
+        fh.write(b"\n")

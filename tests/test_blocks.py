@@ -299,7 +299,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("score, blocks", [
         ("maxprob", 1.5),     # measured 1.07: the softmax rows
-        ("negentropy", 3.5),  # measured 3.13: p, log p and their product
+        ("negentropy", 2.65),  # measured 2.13: p, and p log p formed in place of log p
         ("energy", 2.5),      # measured 2.08: the scaled logits and logsumexp's shift
     ])
     def test_atc_scores_hold_one_block_at_a_time(self, tall, score, blocks):
@@ -353,6 +353,21 @@ class TestPeakMemory:
         peak = self.peak_bytes(run)
         assert peak < 2.75 * bundle.target_logits.nbytes, f"{method} peaked at {peak / 2**20:.1f} MiB"
 
+    def test_load_bundle_reduces_the_features_block_by_block(self, tmp_path):
+        """A 10^5 x 64 features file is read into one block's buffer and kept
+        as its (n,) factor: beside the 10^5 x 50 logits, loading peaks at 1.42
+        of its 2 MB blocks; holding the features would add 25 of them."""
+        rng = np.random.default_rng(43)
+        z, f = rng.normal(size=(100_000, 50)), rng.normal(size=(100_000, 64))
+        np.save(tmp_path / "z.npy", z)
+        np.save(tmp_path / "f.npy", f)
+        manifest = {"target_logits": str(tmp_path / "z.npy"),
+                    "target_features": str(tmp_path / "f.npy")}
+        peak = self.peak_bytes(lambda: load_bundle(manifest))
+        assert peak - z.nbytes < 2 * self.block_bytes(f), f"peaked at {peak / 2**20:.1f} MiB"
+        want = np.sqrt(np.einsum("nd,nd->n", f, f) + 1.0)
+        assert load_bundle(manifest).feature_factor.tobytes() == want.tobytes()
+
     def test_dump_calibration_streams_the_posteriors(self, tall, tmp_path):
         """Beyond the logits it reads, dump-calibration peaks at 0.17 of one
         n x C array (the reader's finiteness mask is 0.125 of it); holding the
@@ -381,7 +396,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("score, blocks", [
         ("maxprob", 2.0),      # measured 1.50: the class-major block and the accumulator
-        ("negentropy", 3.75),  # measured 3.23: class-major p, log p and their product
+        ("negentropy", 2.75),  # measured 2.23: class-major p, and p log p in place of log p
         ("energy", 2.0),       # measured 1.50: as maxprob, with one row maximum
     ])
     def test_narrow_atc_scores_hold_one_block_at_a_time(self, narrow, score, blocks):

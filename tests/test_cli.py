@@ -301,6 +301,29 @@ class TestOverflowingTemperature:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestOverflowingFeatures:
+    """Finite features whose norm squared overflows give no finite gradient
+    factor; every command refuses them as a bundle fault, naming the first
+    such row (predict and gradnorm used to exit 1 on the report's non-finite
+    norms, and ac, which reads no features, to exit 0)."""
+
+    @pytest.mark.parametrize("command", [["predict"], ["baseline", "--method", "gradnorm"],
+                                         ["baseline", "--method", "ac"]],
+                             ids=["predict", "gradnorm", "ac"])
+    def test_named_exit_2(self, tmp_path, logits_file, capsys, command):
+        features = np.ones((90, 4))
+        features[7:] = 1e200
+        f = tmp_path / "f.npy"
+        write_array(f, features)
+        out = tmp_path / "out.json"
+        code = main([*command, "--logits", str(logits_file), "--features", str(f),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: target_features row 7: sqrt(||f||^2 + 1) is not finite\n")
+        assert not out.exists()
+
+
 class TestCalibrationDefaults:
     @pytest.mark.parametrize("command, config", [
         ("predict", estimator.EstimatorConfig),

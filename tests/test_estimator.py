@@ -18,7 +18,7 @@ from sfpp.estimator import (
     judge,
     predict_accuracy,
 )
-from sfpp.ingest import DatasetBundle, report_to_json
+from sfpp.ingest import DatasetBundle, report_to_json, row_factor
 from tests.test_calibrator import make_model, random_model
 
 
@@ -312,6 +312,7 @@ class TestGradientNormsProperty:
         z = scale * rng.normal(size=(n, c))
         weights = np.asarray(rng.normal(size=(c, c)), order=order)
         features = rng.normal(size=(n, 5)) if with_features else None
+        factor = None if features is None else row_factor(features)
         blocks = [slice(i, min(i + block, n)) for i in range(0, n, block)]
 
         def posterior(rows):
@@ -319,8 +320,8 @@ class TestGradientNormsProperty:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "row_blocks", lambda rows, cols: iter(blocks))
-            pl, pairs = gradient_norms(z, posterior, weights, features)
-            bare_pl, bare = gradient_norms(z, posterior, None, features)
+            pl, pairs = gradient_norms(z, posterior, weights, factor)
+            bare_pl, bare = gradient_norms(z, posterior, None, factor)
 
         s = posterior(z)
         np.testing.assert_array_equal(pl, np.argmax(s, axis=1))

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sfpp import cli, ingest, numerics
 from sfpp.errors import ArrayFormatError, BundleValidationError
 from sfpp.ingest import (
     BUNDLE_KEYS,
     DatasetBundle,
     EstimateReport,
+    FeatureRows,
     load_bundle,
     read_array,
+    read_features,
     read_manifest,
     _fmt_json,
     report_to_json,
@@ -471,6 +476,42 @@ class TestReports:
     def test_control_characters_as_unicode_escapes(self):
         assert to_json_text({"a\tb": "\x1f"}) == '{\n  "a\\u0009b": "\\u001f"\n}\n'
 
+    @pytest.mark.parametrize("rows", [0, 1, 5, 10_001])
+    def test_written_bytes_are_the_rendered_text(self, tmp_path, rows):
+        """write_report streams the pieces report_to_json joins: 10 001 rows
+        of two norms span five rendering chunks."""
+        rng = np.random.default_rng(rows)
+        r = EstimateReport(method="gradnorm", predicted_accuracy=0.5, n_samples=rows,
+                           per_sample_correct=rng.integers(0, 2, rows).astype(np.int8),
+                           grad_norm_pairs=rng.lognormal(size=(rows, 2)),
+                           config_echo={"temperature": 1.0, "name": "é"}, seed=7)
+        write_report(r, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_bytes() == report_to_json(r).encode("utf-8")
+
+    def test_failed_render_leaves_no_file(self, tmp_path):
+        """The norms are rendered after the report's first keys are written;
+        a non-finite one removes the file, here one that existed before."""
+        p = tmp_path / "r.json"
+        p.write_text("old")
+        r = EstimateReport(method="gradnorm", predicted_accuracy=0.5, n_samples=2,
+                           grad_norm_pairs=np.array([[0.1, 0.2], [0.3, np.inf]]))
+        with pytest.raises(ValueError, match="non-finite real: inf"):
+            write_report(r, p)
+        assert not p.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(ingest, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
+        p = tmp_path / "r.json"
+        with pytest.raises(OSError, match="No space left"):
+            write_report(self.make_report(), p)
+        assert not p.exists()
+
 
 def python_rendering(matrix):
     """The oracle: the same values as lists of Python floats, each through format_real."""
@@ -585,6 +626,19 @@ class TestIngestPeakMemory:
         size = len(report_to_json(report))
         assert self.peak_bytes(lambda: report_to_json(report)) < 2.5 * size
 
+    def test_written_report_peaks_at_one_chunk(self, tmp_path):
+        """write_report writes each piece as it is rendered, so the same
+        report peaks at 0.34 of its text, one rendering chunk's arrays;
+        holding the text would take at least one."""
+        rng = np.random.default_rng(15)
+        n = 100_000
+        report = EstimateReport(method="calibrated-gradnorm", predicted_accuracy=0.5, n_samples=n,
+                                per_sample_correct=(rng.random(n) < 0.8).astype(np.int8),
+                                grad_norm_pairs=np.abs(rng.normal(1.0, 0.5, (n, 2))))
+        size = len(report_to_json(report))
+        peak = self.peak_bytes(lambda: write_report(report, tmp_path / "r.json"))
+        assert peak < 0.4 * size, f"peaked at {peak / size:.2f} of the text"
+
 
 class TestNpyReader:
     """The reader keeps every message of the whole-file parser it replaced."""
@@ -640,3 +694,143 @@ class TestNpyReader:
         p = tmp_path / "big.npy"
         write_array(p, v)
         assert read_array(p).tobytes() == v.tobytes()
+
+
+def whole_factor(f):
+    """The factor as gradient_norms used to form it, on the whole matrix."""
+    f = np.asarray(f, dtype=np.float64)
+    return np.sqrt(np.einsum("nd,nd->n", f, f) + 1.0)
+
+
+class TestFeatureReader:
+    """A features file is reduced block by block to the factor the whole
+    matrix gives, bit for bit, and every fault keeps its message."""
+
+    @staticmethod
+    def edge(d):
+        """The rows of the first block the reader takes of a d-wide file."""
+        rows = next(numerics.row_blocks(1 << 30, d))
+        return rows.stop - rows.start
+
+    @staticmethod
+    def features(n, d, descr, seed=0):
+        rng = np.random.default_rng([seed, n, d])
+        f = rng.normal(0.0, 3.0, (n, d)) * rng.lognormal(0.0, 2.0, (n, 1))
+        return np.rint(f).astype("<i8") if descr == "<i8" else f.astype(descr)
+
+    @pytest.mark.parametrize("descr", ["<f8", "<f4", "<i8"])
+    @pytest.mark.parametrize("d", [0, 1, 7, 33])
+    @pytest.mark.parametrize("rows", ["one", "edge-1", "edge+1"])
+    def test_npy_factor_is_the_whole_matrix_factor(self, tmp_path, descr, d, rows):
+        n = {"one": 1, "edge-1": self.edge(d) - 1, "edge+1": self.edge(d) + 1}[rows]
+        f = self.features(n, d, descr)
+        p = tmp_path / "f.npy"
+        np.save(p, f)
+        got = read_features(p)
+        assert isinstance(got, FeatureRows) and got.shape == (n, d)
+        assert got.factor.dtype == np.float64
+        assert got.factor.tobytes() == whole_factor(read_array(p)).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 7, 33])
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_csv_factor_is_the_whole_matrix_factor(self, tmp_path, d, n):
+        f = self.features(n, d, "<f8")
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in f) + "\n")
+        got = read_features(p)
+        assert got.shape == (n, d)
+        assert got.factor.tobytes() == whole_factor(f).tobytes()
+
+    @pytest.mark.parametrize("build", ["file", "in-code"])
+    def test_bundle_keeps_the_factor_alone_from_a_file(self, tmp_path, build):
+        """A file leaves no features matrix on the bundle, only its
+        FeatureRows; one given in code is kept as given. A replaced bundle
+        derives the factor again and still checks the width."""
+        n, d = self.edge(7) + 1, 7
+        f = self.features(n, d, "<f8")
+        p = tmp_path / "f.npy"
+        np.save(p, f)
+        b = load_bundle({"target_logits": np.zeros((n, 2)),
+                         "target_features": str(p) if build == "file" else f})
+        assert b.feature_factor.tobytes() == whole_factor(f).tobytes()
+        if build == "file":
+            assert isinstance(b.target_features, FeatureRows) and b.target_features.shape == (n, d)
+        else:
+            assert b.target_features is f
+        again = dataclasses.replace(b, last_layer_bias=np.zeros(2))
+        assert again.feature_factor.tobytes() == b.feature_factor.tobytes()
+        with pytest.raises(BundleValidationError, match="^last_layer_weights width 6 mismatches "
+                                                        "target_features width 7$"):
+            dataclasses.replace(b, last_layer_weights=np.ones((2, 6)))
+        assert dataclasses.replace(b, target_features=None).feature_factor is None
+
+    @staticmethod
+    def fault_cases():
+        """(features file, logits rows, weights or None, message) per fault."""
+        edge = TestFeatureReader.edge(4)
+        n = 2 * edge + 5
+        cases = {}
+        f = TestFeatureReader.features(n, 4, "<f8")
+        f[-1, 3] = np.nan  # the last row of the last block
+        cases["nan-last-block"] = (f, n, None, "{path}: contains NaN or Inf entries")
+        cases["rank-1"] = (np.ones(n), n, None, f"target_features must be 2-D, got shape ({n},)")
+        cases["rows"] = (np.ones((n - 1, 4)), n, None,
+                         f"target_features has {n - 1} rows but target_logits has {n}")
+        cases["width"] = (np.ones((n, 4)), n, np.ones((3, 5)),
+                          "last_layer_weights width 5 mismatches target_features width 4")
+        cases["bad-magic"] = (b"\x93NUMPZ" + npy_bytes()[6:], 2, None,
+                              "{path}: bad magic bytes, not an NPY file")
+        cases["truncated"] = (npy_bytes(shape=b"(2, 2)", payload=np.zeros(3, "<f8").tobytes()), 2,
+                              None, "{path}: payload holds 24 bytes, header implies 32")
+        return cases
+
+    @pytest.mark.parametrize("fault", ["nan-last-block", "rank-1", "rows", "width", "bad-magic",
+                                       "truncated"])
+    def test_faults_keep_their_messages_and_exit_2(self, tmp_path, capsys, fault):
+        features, n, weights, message = self.fault_cases()[fault]
+        p = tmp_path / "f.npy"
+        if isinstance(features, bytes):
+            p.write_bytes(features)
+        else:
+            np.save(p, features)
+        message = message.format(path=p)
+        z = tmp_path / "z.npy"
+        np.save(z, np.zeros((n, 3)))
+        manifest = {"target_logits": str(z), "target_features": str(p)}
+        argv = ["predict", "--logits", str(z), "--features", str(p)]
+        if weights is not None:
+            np.save(tmp_path / "w.npy", weights)
+            manifest["last_layer_weights"] = str(tmp_path / "w.npy")
+            argv += ["--weights", str(tmp_path / "w.npy")]
+        with pytest.raises((ArrayFormatError, BundleValidationError)) as info:
+            load_bundle(manifest)
+        assert str(info.value) == message
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overflowing_factor_names_the_first_row(self, tmp_path):
+        """Finite features whose squared norm overflows give no finite factor:
+        refused in code and from a file, at the first such row."""
+        f = np.ones((5, 3))
+        f[[2, 4]] = 1e200
+        with pytest.raises(BundleValidationError) as in_code:
+            DatasetBundle(target_logits=np.zeros((5, 2)), class_count=2, target_features=f)
+        np.save(tmp_path / "f.npy", f)
+        with pytest.raises(BundleValidationError) as loaded:
+            load_bundle({"target_logits": np.zeros((5, 2)), "target_features": tmp_path / "f.npy"})
+        assert str(in_code.value) == str(loaded.value) == (
+            "target_features row 2: sqrt(||f||^2 + 1) is not finite")
+
+    def test_nan_in_code_names_its_row(self):
+        """A file's NaN is refused by the reader; one built in code by its factor."""
+        f = np.ones((4, 3))
+        f[3, 1] = np.nan
+        with pytest.raises(BundleValidationError,
+                           match=r"^target_features row 3: sqrt\(\|\|f\|\|\^2 \+ 1\) is not finite$"):
+            DatasetBundle(target_logits=np.zeros((4, 2)), class_count=2, target_features=f)
+
+    def test_normal_features_keep_their_bits_near_the_limit(self):
+        """1e153 squared is finite, so the factor is; only the overflow is refused."""
+        f = np.full((2, 4), 1e153)
+        b = DatasetBundle(target_logits=np.zeros((2, 2)), class_count=2, target_features=f)
+        assert b.feature_factor.tobytes() == whole_factor(f).tobytes()
