@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -423,26 +421,9 @@ def run_scenario(scenario: BenchScenario, methods, ratios, trials: int):
     return true_acc, rows
 
 
-def worker_count() -> int:
-    """Worker cap from SFPP_THREADS; 0 means one per CPU, unset means 1."""
-    raw = os.environ.get("SFPP_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DegenerateInputError(f"SFPP_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise DegenerateInputError(f"SFPP_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=DEFAULT_RATIOS,
               trials: int = DEFAULT_TRIALS) -> MaeTable:
-    """Run all scenarios and aggregate absolute errors into a table.
-
-    Scenarios are independent and may run on worker threads; rows are
-    assembled in scenario order regardless of how many workers ran, so the
-    output is identical for any SFPP_THREADS setting.
-    """
+    """Run the scenarios in order and aggregate absolute errors into a table."""
     methods = list(methods)
     ratios = list(inclusion_ratios)
     unknown = [m for m in methods if m not in ALL_METHODS]
@@ -456,24 +437,14 @@ def run_suite(scenarios, methods=ALL_METHODS, inclusion_ratios=DEFAULT_RATIOS,
                 f"of record {first_record[scenario.name]}")
         first_record[scenario.name] = i
 
-    def run(scenario):
-        """run_scenario, an error of the run prefixed with the scenario's name:
-        its record passed every field check, so the error alone names none."""
-        try:
-            return run_scenario(scenario, methods, ratios, trials)
-        except SfppError as exc:
-            raise type(exc)(f"scenario {scenario.name!r}: {exc}") from exc
-
-    workers = min(worker_count(), len(scenarios)) or 1
-    if workers == 1:
-        results = [run(s) for s in scenarios]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, scenarios))
-
     rows = []
     scenario_meta = []
-    for scenario, (true_acc, scenario_rows) in zip(scenarios, results):
+    for scenario in scenarios:
+        try:
+            true_acc, scenario_rows = run_scenario(scenario, methods, ratios, trials)
+        except SfppError as exc:
+            # the record passed every field check, so the error alone names none
+            raise type(exc)(f"scenario {scenario.name!r}: {exc}") from exc
         scenario_meta.append({"name": scenario.name, "seed": scenario.seed,
                               "true_accuracy": true_acc})
         rows.extend(scenario_rows)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .errors import ArrayFormatError, BundleValidationError
+from .errors import ArrayFormatError, BundleValidationError, InputError
 
 _NPY_MAGIC = b"\x93NUMPY"
 _READ_DTYPES = {"<f4": np.float32, "<f8": np.float64, "<i8": np.int64}
@@ -266,13 +266,13 @@ def _npy_header(fh, path: Path) -> tuple[np.dtype, tuple[int, ...]]:
     if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
         raise ArrayFormatError(f"{path}: header must have exactly descr/fortran_order/shape")
     descr = header["descr"]
-    if descr not in _READ_DTYPES:
+    if not isinstance(descr, str) or descr not in _READ_DTYPES:  # a record array's is a list
         raise ArrayFormatError(f"{path}: unsupported dtype {descr!r} (need <f4, <f8 or <i8)")
     if header["fortran_order"]:
         raise ArrayFormatError(f"{path}: fortran_order arrays are not supported")
     shape = header["shape"]
     if not isinstance(shape, tuple) or len(shape) not in (1, 2) or any(
-        not isinstance(s, int) or s < 0 for s in shape
+        type(s) is not int or s < 0 for s in shape  # a bool is an int, but no length
     ):
         raise ArrayFormatError(f"{path}: shape must be a rank-1 or rank-2 tuple, got {shape!r}")
     dtype = np.dtype(_READ_DTYPES[descr])
@@ -296,7 +296,7 @@ def _read_payload(fh, path: Path, out: np.ndarray, before: int, expected: int) -
 def _read_csv(path: Path) -> np.ndarray:
     """Rows of comma-separated reals after an optional header line, which must
     be as wide as the rows; a UTF-8 byte order mark is dropped."""
-    lines = [ln for ln in path.read_text("utf-8-sig").splitlines() if ln.strip()]
+    lines = [ln for ln in _read_utf8(path, ArrayFormatError).splitlines() if ln.strip()]
     if not lines:
         raise ArrayFormatError(f"{path}: empty CSV")
 
@@ -326,6 +326,15 @@ def _read_csv(path: Path) -> np.ndarray:
     if start and len(first) != width:
         raise ArrayFormatError(f"{path}: ragged CSV, header width {len(first)} vs row width {width}")
     return np.asarray(rows, dtype=np.float64)
+
+
+def _read_utf8(path, error: type[InputError]) -> str:
+    """The text of ``path`` without a UTF-8 byte order mark; bytes that are not
+    UTF-8 raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_array(path, values) -> None:
@@ -369,7 +378,7 @@ def read_manifest(path) -> dict:
     UTF-8 byte order mark is dropped."""
     out = {}
     first_line = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path, BundleValidationError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,9 +3,7 @@
 Every function here is pure, and all linear algebra goes through
 ``numpy.linalg`` and numpy's own BLAS. ``row_blocks`` is the one row-block
 rule: the covariance and every per-row pass over an n x C matrix walk its
-blocks in index order, so results do not depend on input chunking;
-``sfpp bench`` writes the same bytes for any ``SFPP_THREADS`` (acceptance
-criterion 12).
+blocks in index order, so results do not depend on input chunking.
 """
 
 from __future__ import annotations

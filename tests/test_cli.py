@@ -106,6 +106,17 @@ class TestPredict:
         assert (tmp_path / "bom.manifest").read_bytes()[:3] == b"\xef\xbb\xbf"
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("flag, name, raw", [
+        ("--manifest", "m.manifest", b"target_logits = z\xe9.npy\n"),
+        ("--logits", "z.csv", b"a,b\n1.0,2.0\n\xff,3.0\n"),
+    ])
+    def test_file_not_utf8_named_exit_2(self, tmp_path, capsys, flag, name, raw):
+        p, out = tmp_path / name, tmp_path / "r.json"
+        p.write_bytes(raw)
+        assert main(["predict", flag, str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8 text: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e155, 2), (1e300, 2)])
     def test_overflowing_covariance_named_exit_2(self, tmp_path, scale, code):
         rng = np.random.default_rng(317)
@@ -647,8 +658,9 @@ class TestHelpAndEntryPoint:
 
     def test_cli_import_needs_no_scipy(self):
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, sfpp.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", "import sys, sfpp.cli; "
+             "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
             capture_output=True, text=True, env=env_with_src(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

@@ -652,9 +652,12 @@ class TestNpyReader:
         (npy_bytes(shape=b"(2, 2), 'x': 1"), "header must have exactly descr/fortran_order/shape"),
         (npy_bytes(descr=b"'<i4'", payload=np.zeros(4, "<i4").tobytes()),
          "unsupported dtype '<i4' (need <f4, <f8 or <i8)"),
+        (npy_bytes(descr=b"[('a', '<f8'), ('b', '<f8')]", shape=b"(2,)"),  # a record array's
+         "unsupported dtype [('a', '<f8'), ('b', '<f8')] (need <f4, <f8 or <i8)"),
         (npy_bytes(fortran=b"True"), "fortran_order arrays are not supported"),
         (npy_bytes(shape=b"(2, 2, 1)"), "shape must be a rank-1 or rank-2 tuple, got (2, 2, 1)"),
         (npy_bytes(shape=b"(2, -2)"), "shape must be a rank-1 or rank-2 tuple, got (2, -2)"),
+        (npy_bytes(shape=b"(True, 4)"), "shape must be a rank-1 or rank-2 tuple, got (True, 4)"),
         (npy_bytes(payload=np.zeros(3, "<f8").tobytes()), "payload holds 24 bytes, header implies 32"),
         (npy_bytes(payload=b""), "payload holds 0 bytes, header implies 32"),
         (npy_bytes(payload=np.zeros(5, "<f8").tobytes()), "payload holds 40 bytes, header implies 32"),
